@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,9 +86,15 @@ constexpr int kSetupReps = 51;
 constexpr int kStageReps = 3;
 constexpr int kRestartReps = 3;
 
+/// Share of a serving session spent in the closed loop; the open loop
+/// takes the rest.  Throughput moves more between runs than the open
+/// loop's median latency, so it gets the larger share.
+constexpr double kClosedShare = 2.0 / 3.0;
+
 constexpr std::uint64_t kStreamSeedTag = 0x5E7E;
 constexpr std::uint64_t kProbeSeedTag = 0x9B0B;
 constexpr std::uint64_t kStretchSeedTag = 0x57E7;
+constexpr std::uint64_t kDiameterSeedTag = 0xD1A0;
 
 struct Workload {
   const char* name;
@@ -171,15 +178,12 @@ std::uint64_t apsp_digest(std::span<const gclus::Weight> apsp) {
   return h;
 }
 
-/// The best of repeated measurements: the least time, or the highest
-/// throughput.  Noise on a shared host only ever adds time, so the best
-/// repetition is the steadiest estimate of the program's own cost (Chen
-/// and Revels, "Robust benchmarking in noisy environments", 2016).
+/// The best of repeated measurements: the least time.  Noise on a shared
+/// host only ever adds time, so the best repetition is the steadiest
+/// estimate of the program's own cost (Chen and Revels, "Robust
+/// benchmarking in noisy environments", 2016).
 double least(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
-}
-double most(const std::vector<double>& v) {
-  return *std::max_element(v.begin(), v.end());
 }
 
 double peak_rss_mb() {
@@ -407,10 +411,13 @@ void oracle_split(Run& r, const Graph& g, const QueryEngine& built,
 
 /// approximate_diameter (CLUSTER pipeline of §6.2); traced runs time its
 /// two calls separately.
-double diameter_stage(Run& r, const Graph& g, gclus::DiameterApprox& out) {
+double diameter_stage(Run& r, const Graph& g, int round,
+                      gclus::DiameterApprox& out) {
   const std::uint32_t tau = r.sc.diameter_tau;
   gclus::DiameterOptions opts;
-  opts.seed = r.args.seed;
+  opts.seed = round == 0 ? r.args.seed
+                         : gclus::derive_seed(r.args.seed,
+                                              kDiameterSeedTag + round);
   Timer t;
   {
     auto stage = r.tr.span("stage.diameter", Layer::kBench);
@@ -446,7 +453,7 @@ double diameter_stage(Run& r, const Graph& g, gclus::DiameterApprox& out) {
 /// Answer quality: oracle stretch against exact BFS on sampled pairs, and
 /// Δ″ against the double-sweep lower bound.
 void quality_checks(Run& r, const Graph& g, const QueryEngine& engine,
-                    const gclus::DiameterApprox& d) {
+                    const std::vector<gclus::DiameterApprox>& diameters) {
   struct Pair {
     gclus::NodeId src, dst;
     gclus::Dist dist;
@@ -491,12 +498,16 @@ void quality_checks(Run& r, const Graph& g, const QueryEngine& engine,
     auto s = r.tr.span("check.double_sweep", Layer::kCheck);
     lb = gclus::double_sweep_lower_bound(g, 0);
   }
-  r.ledger.expect(d.upper_bound >= lb && lb > 0,
-                  "diameter upper bound >= double-sweep lower bound");
+  double dratio = 0.0;
+  for (const gclus::DiameterApprox& d : diameters) {
+    r.ledger.expect(d.upper_bound >= lb && lb > 0,
+                    "diameter upper bound >= double-sweep lower bound");
+    dratio += static_cast<double>(d.upper_bound) /
+              static_cast<double>(std::max<gclus::Dist>(1, lb)) /
+              static_cast<double>(diameters.size());
+  }
   const double p50 = percentile(ratios, 0.5);
   const double p99 = percentile(ratios, 0.99);
-  const double dratio = static_cast<double>(d.upper_bound) /
-                        static_cast<double>(std::max<gclus::Dist>(1, lb));
   r.e2e.set("stretch_p50", p50, "ratio");
   r.e2e.set("stretch_p99", p99, "ratio");
   r.e2e.set("diameter_ratio", dratio, "ratio");
@@ -531,7 +542,8 @@ void serve_layers(Run& r, const Service& svc, const BatchedStream& stream) {
     auto s = r.tr.span("QueryServer.inproc", Layer::kServer);
     const LoopStats q = inproc_loop(svc.engine, stream, r.sc.inproc_s);
     r.ledger.add_loop(q);
-    r.layer.set("server.inproc_qps", windowed_qps(q), "queries/s");
+    r.layer.set("server.inproc_qps", percentile(window_qps(q), kQpsPercentile),
+                "queries/s");
     r.layer.set("server.batch_p50_ms", windowed_percentile(q, 0.5), "ms");
     r.layer.set("server.batch_p99_ms", windowed_percentile(q, 0.99), "ms");
   }
@@ -543,99 +555,112 @@ void serve_layers(Run& r, const Service& svc, const BatchedStream& stream) {
   }
 }
 
-/// kRestartReps sessions, each restarting the service from the published
-/// files and running a closed then an open loop of `loop_s` seconds.
-/// Every figure is the best session's: each session has a fresh set of
-/// threads, placed afresh by the scheduler.
-/// Returns the stream digest of the restarted engine's answers.
-std::uint64_t serve_phase(Run& r, const std::string& csr,
-                          const std::string& orc, double loop_s) {
-  auto stage = r.tr.span("stage.serve", Layer::kBench);
-  const auto info = gclus::io::probe_csr_file(csr);
-  if (!info) die("cannot probe " + csr);
-  const std::vector<gclus::server::Query> probe = gclus_cli::make_queries(
-      static_cast<gclus::NodeId>(info->num_nodes), kBatchSize, 0.8,
-      gclus::derive_seed(r.args.seed, kProbeSeedTag));
-
-  std::vector<double> restart_s, csr_s, art_s, qps, p50, p90, p99, lag;
+/// What the serving sessions of one run accumulate.
+struct ServeTally {
+  std::vector<gclus::server::Query> probe;  ///< first batch after restart
+  BatchedStream stream;
+  std::vector<double> restart_s, csr_s, art_s, p50, p90, p99, lag;
+  std::vector<double> qps;  ///< closed-loop windows of every session
   std::uint64_t results_sent = 0, bad_frames = 0, shed = 0;
   std::uint64_t wrong = 0, refused = 0;
-  BatchedStream stream;
-  for (int rep = 0; rep < kRestartReps; ++rep) {
-    Service svc;
-    std::vector<gclus::server::QueryResult> probe_answers;
-    {
-      auto s = r.tr.span("restart", Layer::kServer);
-      RestartTimes times;
-      svc = value_or_die(
-          restart_service(csr, orc, probe, probe_answers, times), "restart");
-      restart_s.push_back(times.total_s);
-      csr_s.push_back(times.csr_load_s);
-      art_s.push_back(times.artifact_load_s);
-    }
-    ++r.ledger.stages;
-    if (rep == 0) {
-      auto s = r.tr.span("replay", Layer::kServer);
-      stream = make_stream(*svc.engine, r.sc.stream_batches,
-                           gclus::derive_seed(r.args.seed, kStreamSeedTag));
-    }
-    {
-      gclus::server::QueryScratch scratch;
-      std::vector<gclus::ClusterId> buf;
-      std::vector<gclus::server::QueryResult> expect;
-      for (const auto& q : probe) {
-        expect.push_back(
-            gclus::server::execute_query(*svc.engine, q, scratch, buf));
-      }
-      r.ledger.expect(expect == probe_answers,
-                      "first wire batch after restart matches serial replay");
-    }
-    if (rep == 0 && r.tr.enabled()) serve_layers(r, svc, stream);
+};
 
-    const std::uint16_t port = svc.net->port();
-    LoopStats closed, open;
-    {
-      auto s = r.tr.span("wire.closed_loop", Layer::kNet);
-      closed = closed_loop(port, stream, loop_s);
-    }
-    {
-      auto s = r.tr.span("wire.open_loop", Layer::kNet);
-      open = open_loop(port, stream, loop_s, kOpenLoopBatchesPerS);
-    }
-    r.ledger.add_loop(closed);
-    r.ledger.add_loop(open);
-    qps.push_back(windowed_qps(closed));
-    p50.push_back(windowed_percentile(open, 0.5));
-    p90.push_back(windowed_percentile(open, 0.9));
-    p99.push_back(windowed_percentile(open, 0.99));
-    lag.push_back(percentile(open.lag_ms, 0.99));
-    wrong += closed.mismatched + open.mismatched;
-    refused += closed.refused + open.refused;
-
-    svc.net->request_drain();
-    svc.net->drain();
-    results_sent += svc.net->stats().results_sent;
-    bad_frames += svc.net->stats().bad_frames;
-    shed += svc.queue->stats().shed_batches;
-    stop_service(svc);
+/// One serving session: restart the service from the published files, then
+/// a closed loop of `closed_s` and an open loop of `open_s` seconds.  Each
+/// session has a fresh set of server threads, placed afresh by the
+/// scheduler.
+void serve_session(Run& r, ServeTally& t, const std::string& csr,
+                   const std::string& orc, double closed_s, double open_s) {
+  auto stage = r.tr.span("stage.serve", Layer::kBench);
+  const bool first = t.restart_s.empty();
+  if (first) {
+    const auto info = gclus::io::probe_csr_file(csr);
+    if (!info) die("cannot probe " + csr);
+    t.probe = gclus_cli::make_queries(
+        static_cast<gclus::NodeId>(info->num_nodes), kBatchSize, 0.8,
+        gclus::derive_seed(r.args.seed, kProbeSeedTag));
   }
-  r.layer.set("serve.restart_s", least(restart_s), "s");
-  r.layer.set("artifact.load_s", least(art_s), "s");
-  r.layer.set("graph.restart_csr_load_s", least(csr_s), "s");
-  if (r.wl.serve_first) r.e2e.set("setup_s", least(restart_s), "s");
-  r.e2e.set("serve_qps", most(qps), "queries/s");
-  r.e2e.set("serve_p50_ms", least(p50), "ms");
-  r.layer.set("serve_p90_ms", least(p90), "ms");
-  r.layer.set("serve_p99_ms", least(p99), "ms");
-  r.layer.set("loadgen.lag_p99_ms", least(lag), "ms");
-  r.layer.set("net.results_sent", static_cast<double>(results_sent), "count");
-  r.layer.set("net.bad_frames", static_cast<double>(bad_frames), "count");
-  r.layer.set("server.shed_batches", static_cast<double>(shed), "count");
-  r.ledger.expect(shed == 0, "no batch shed by the server");
-  r.ledger.expect(bad_frames == 0, "no malformed frame on the wire");
-  r.ledger.expect(wrong == 0 && refused == 0,
+  Service svc;
+  std::vector<gclus::server::QueryResult> probe_answers;
+  {
+    auto s = r.tr.span("restart", Layer::kServer);
+    RestartTimes times;
+    svc = value_or_die(
+        restart_service(csr, orc, t.probe, probe_answers, times), "restart");
+    t.restart_s.push_back(times.total_s);
+    t.csr_s.push_back(times.csr_load_s);
+    t.art_s.push_back(times.artifact_load_s);
+  }
+  ++r.ledger.stages;
+  if (first) {
+    auto s = r.tr.span("replay", Layer::kServer);
+    t.stream = make_stream(*svc.engine, r.sc.stream_batches,
+                           gclus::derive_seed(r.args.seed, kStreamSeedTag));
+  }
+  {
+    gclus::server::QueryScratch scratch;
+    std::vector<gclus::ClusterId> buf;
+    std::vector<gclus::server::QueryResult> expect;
+    for (const auto& q : t.probe) {
+      expect.push_back(
+          gclus::server::execute_query(*svc.engine, q, scratch, buf));
+    }
+    r.ledger.expect(expect == probe_answers,
+                    "first wire batch after restart matches serial replay");
+  }
+  if (first && r.tr.enabled()) serve_layers(r, svc, t.stream);
+
+  const std::uint16_t port = svc.net->port();
+  LoopStats closed, open;
+  {
+    auto s = r.tr.span("wire.closed_loop", Layer::kNet);
+    closed = closed_loop(port, t.stream, closed_s);
+  }
+  {
+    auto s = r.tr.span("wire.open_loop", Layer::kNet);
+    open = open_loop(port, t.stream, open_s, kOpenLoopBatchesPerS);
+  }
+  r.ledger.add_loop(closed);
+  r.ledger.add_loop(open);
+  const std::vector<double> qps = window_qps(closed);
+  t.qps.insert(t.qps.end(), qps.begin(), qps.end());
+  t.p50.push_back(windowed_percentile(open, 0.5));
+  t.p90.push_back(windowed_percentile(open, 0.9));
+  t.p99.push_back(windowed_percentile(open, 0.99));
+  t.lag.push_back(percentile(open.lag_ms, 0.99));
+  t.wrong += closed.mismatched + open.mismatched;
+  t.refused += closed.refused + open.refused;
+
+  svc.net->request_drain();
+  svc.net->drain();
+  t.results_sent += svc.net->stats().results_sent;
+  t.bad_frames += svc.net->stats().bad_frames;
+  t.shed += svc.queue->stats().shed_batches;
+  stop_service(svc);
+}
+
+/// Reports the sessions' figures and runs the serving checks: throughput
+/// over the closed-loop windows of all sessions, every other figure the
+/// best session's.  Returns the stream digest of the restarted engine's
+/// answers.
+std::uint64_t finish_serve(Run& r, const ServeTally& t) {
+  r.layer.set("serve.restart_s", least(t.restart_s), "s");
+  r.layer.set("artifact.load_s", least(t.art_s), "s");
+  r.layer.set("graph.restart_csr_load_s", least(t.csr_s), "s");
+  if (r.wl.serve_first) r.e2e.set("setup_s", least(t.restart_s), "s");
+  r.e2e.set("serve_qps", percentile(t.qps, kQpsPercentile), "queries/s");
+  r.e2e.set("serve_p50_ms", least(t.p50), "ms");
+  r.layer.set("serve_p90_ms", least(t.p90), "ms");
+  r.layer.set("serve_p99_ms", least(t.p99), "ms");
+  r.layer.set("loadgen.lag_p99_ms", least(t.lag), "ms");
+  r.layer.set("net.results_sent", static_cast<double>(t.results_sent), "count");
+  r.layer.set("net.bad_frames", static_cast<double>(t.bad_frames), "count");
+  r.layer.set("server.shed_batches", static_cast<double>(t.shed), "count");
+  r.ledger.expect(t.shed == 0, "no batch shed by the server");
+  r.ledger.expect(t.bad_frames == 0, "no malformed frame on the wire");
+  r.ledger.expect(t.wrong == 0 && t.refused == 0,
                   "wire answers equal the serial execute_query replay");
-  return stream_digest(stream);
+  return stream_digest(t.stream);
 }
 
 /// Stream digest of `engine`'s answers to the serving stream.
@@ -663,56 +688,73 @@ double setup_once(const Run& r) {
 struct BuildOutputs {
   Graph graph;
   std::shared_ptr<const QueryEngine> engine;
-  gclus::DiameterApprox diameter;
+  std::vector<gclus::DiameterApprox> diameters;  ///< one per round
 };
 
-/// Runs `stage` kStageReps times (once when tracing) and reports the best
-/// of its times under `name`.
-template <class Stage>
-void repeat_stage(Run& r, const char* name, Stage stage) {
-  std::vector<double> times;
-  const int reps = r.tr.enabled() ? 1 : kStageReps;
-  for (int i = 0; i < reps; ++i) {
-    // Write-back of earlier repetitions' files must not overlap this one.
-    ::sync();
-    times.push_back(stage());
+/// Stage wall times of every round; report_stages reduces them.
+struct StageTimes {
+  std::vector<double> ingest, oracle, diameter;
+};
+
+/// One round of the three build stages in pipeline order; `round` 0 also
+/// runs the traced oracle split.
+void build_round(Run& r, BuildOutputs& out, StageTimes& times, int round) {
+  // Write-back of earlier rounds' files must not overlap a stage.
+  ::sync();
+  out.engine.reset();
+  out.graph = Graph{};  // unmap before the CSR file is rewritten
+  times.ingest.push_back(ingest_stage(r, out.graph));
+  ::sync();
+  double build_s = 0.0;
+  times.oracle.push_back(oracle_stage(r, out.graph, out.engine, build_s));
+  if (round == 0 && r.tr.enabled()) {
+    oracle_split(r, out.graph, *out.engine, build_s);
   }
-  r.e2e.set(name, least(times), "s");
-  std::printf("%s: %zu repetition(s), best %.3f s\n", name, times.size(),
-              least(times));
+  ::sync();
+  out.diameters.emplace_back();
+  times.diameter.push_back(
+      diameter_stage(r, out.graph, round, out.diameters.back()));
 }
 
-/// The three build stages in pipeline order, each repeated on the same
-/// input.
-BuildOutputs build_stages(Run& r) {
-  BuildOutputs out;
-  repeat_stage(r, "ingest_s", [&] {
-    out.graph = Graph{};  // unmap before the CSR file is rewritten
-    return ingest_stage(r, out.graph);
-  });
-  double build_s = 0.0;
-  repeat_stage(r, "oracle_build_s", [&] {
-    out.engine.reset();
-    return oracle_stage(r, out.graph, out.engine, build_s);
-  });
-  if (r.tr.enabled()) oracle_split(r, out.graph, *out.engine, build_s);
-  repeat_stage(r, "diameter_s", [&] {
-    return diameter_stage(r, out.graph, out.diameter);
-  });
-  return out;
+/// Ingest and the oracle repeat the same work each round and report the
+/// best round.  The diameter draws a new clustering each round, and the
+/// quotient's size, which its exact weighted diameter costs quadratically,
+/// moved its time 30% between seeds; it reports the mean over rounds.
+void report_stages(Run& r, const StageTimes& times) {
+  const std::vector<double>& d = times.diameter;
+  r.e2e.set("ingest_s", least(times.ingest), "s");
+  r.e2e.set("oracle_build_s", least(times.oracle), "s");
+  r.e2e.set("diameter_s",
+            std::accumulate(d.begin(), d.end(), 0.0) /
+                static_cast<double>(d.size()),
+            "s");
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    std::printf("round %zu: ingest %.3f s, oracle %.3f s, diameter %.3f s\n",
+                i, times.ingest[i], times.oracle[i], d[i]);
+  }
 }
 
 void run_workload(Run& r) {
   auto root = r.tr.span("run", Layer::kBench);
   double rss_mb = 0.0;
-  std::uint64_t restarted_digest = 0;
+  ServeTally serve;
   BuildOutputs built;
-  // Serving fills --seconds: each session runs a closed and an open loop.
-  const double loop_s = r.args.seconds / (2.0 * kRestartReps);
+  StageTimes times;
+  // Traced runs execute each stage once.  The serving sessions share
+  // --seconds, each running a closed then an open loop.
+  const int rounds = r.tr.enabled() ? 1 : kStageReps;
+  const double closed_s = r.args.seconds / kRestartReps * kClosedShare;
+  const double open_s = r.args.seconds / kRestartReps * (1 - kClosedShare);
+  const auto serve_sessions = [&](const std::string& csr,
+                                  const std::string& orc) {
+    for (int i = 0; i < kRestartReps; ++i) {
+      serve_session(r, serve, csr, orc, closed_s, open_s);
+    }
+  };
   if (r.wl.serve_first) {
-    restarted_digest = serve_phase(r, r.args.csr, r.args.orc, loop_s);
+    serve_sessions(r.args.csr, r.args.orc);
     rss_mb = peak_rss_mb();
-    built = build_stages(r);
+    for (int i = 0; i < rounds; ++i) build_round(r, built, times, i);
   } else {
     std::vector<double> setup;
     {
@@ -721,12 +763,14 @@ void run_workload(Run& r) {
       for (int i = 0; i < kSetupReps; ++i) setup.push_back(setup_once(r));
     }
     r.e2e.set("setup_s", least(setup), "s");
-    built = build_stages(r);
+    for (int i = 0; i < rounds; ++i) build_round(r, built, times, i);
     ::sync();  // keep write-back of the stages' files out of serving
-    restarted_digest = serve_phase(r, r.csr_path, r.orc_path, loop_s);
+    serve_sessions(r.csr_path, r.orc_path);
     rss_mb = peak_rss_mb();
   }
-  quality_checks(r, built.graph, *built.engine, built.diameter);
+  report_stages(r, times);
+  const std::uint64_t restarted_digest = finish_serve(r, serve);
+  quality_checks(r, built.graph, *built.engine, built.diameters);
   r.ledger.expect(fresh_stream_digest(r, *built.engine) == restarted_digest,
                   "answers after restart match the fresh build");
   r.e2e.set("peak_rss_mb", rss_mb, "MB");

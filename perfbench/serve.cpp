@@ -299,8 +299,8 @@ double codec_ns_per_query(const BatchedStream& s, bool& ok) {
 
 namespace {
 
-/// Splits `s` into whole windows (one shorter window if the loop ran
-/// less than kWindowS) and returns each window's sample indices.
+/// Splits `s` into whole windows of `window_s` (one shorter window if the
+/// loop ran less than that) and returns each window's sample indices.
 std::vector<std::vector<std::size_t>> windows_of(const LoopStats& s,
                                                  double& window_s) {
   window_s = std::min(window_s, s.seconds);
@@ -327,14 +327,14 @@ double windowed_percentile(const LoopStats& s, double q) {
   return percentile(std::move(per_window), 0.5);
 }
 
-double windowed_qps(const LoopStats& s) {
-  double window_s = kWindowS;
+std::vector<double> window_qps(const LoopStats& s) {
+  double window_s = kQpsWindowS;
   std::vector<double> per_window;
   for (const auto& idx : windows_of(s, window_s)) {
     per_window.push_back(static_cast<double>(idx.size() * kBatchSize) /
                          window_s);
   }
-  return percentile(std::move(per_window), 0.5);
+  return per_window;
 }
 
 double percentile(std::vector<double> values, double q) {
