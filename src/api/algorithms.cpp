@@ -354,8 +354,8 @@ void register_oracle(Registry& r) {
            o.context() = ctx;
            o.tau = p.get_u32("tau", 0);
            o.use_cluster2 = p.get_bool("use_cluster2", true);
-           OracleBuild build = DistanceOracle::build_full(g, o);
-           return std::move(build.clustering);
+           return std::move(
+               DistanceOracle::build_full(g, o).value().clustering);
          },
          /*run_compressed=*/nullptr});
 }

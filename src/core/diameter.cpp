@@ -9,7 +9,8 @@
 namespace gclus {
 
 DiameterApprox diameter_from_clustering(const Graph& g,
-                                        const Clustering& clustering) {
+                                        const Clustering& clustering,
+                                        const RunContext& context) {
   const QuotientGraph q = build_quotient(g, clustering, /*with_weights=*/true);
   GCLUS_CHECK(q.graph.num_nodes() > 0);
 
@@ -22,7 +23,8 @@ DiameterApprox diameter_from_clustering(const Graph& g,
 
   // Quotient of a connected graph is connected; exact_diameter checks.
   const Dist delta_c = exact_diameter(q.graph).diameter;
-  const Weight delta_c_weighted = weighted_diameter_exact(q.weighted);
+  const Weight delta_c_weighted =
+      weighted_diameter_exact(q.weighted, &context.pool_or_global());
 
   const auto r = static_cast<std::uint64_t>(out.max_radius);
   out.lower_bound = delta_c;
@@ -40,12 +42,13 @@ DiameterApprox approximate_diameter(const Graph& g, std::uint32_t tau,
 
   if (options.use_cluster2) {
     const Cluster2Result r2 = cluster2(g, tau, copts);
-    DiameterApprox out = diameter_from_clustering(g, r2.clustering);
+    DiameterApprox out =
+        diameter_from_clustering(g, r2.clustering, options.context());
     out.growth_steps += r2.prelim_growth_steps;
     return out;
   }
   const Clustering c = cluster(g, tau, copts);
-  return diameter_from_clustering(g, c);
+  return diameter_from_clustering(g, c, options.context());
 }
 
 }  // namespace gclus

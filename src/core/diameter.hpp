@@ -63,8 +63,11 @@ struct DiameterApprox {
     const Graph& g, std::uint32_t tau, const DiameterOptions& options = {});
 
 /// Same pipeline, but reusing an already-computed clustering (lets benches
-/// time the phases separately and tests inject crafted clusterings).
+/// time the phases separately and tests inject crafted clusterings).  The
+/// weighted-quotient sweep for Δ′_C runs on `context`'s pool; the result
+/// is identical at any thread count.
 [[nodiscard]] DiameterApprox diameter_from_clustering(
-    const Graph& g, const Clustering& clustering);
+    const Graph& g, const Clustering& clustering,
+    const RunContext& context = {});
 
 }  // namespace gclus

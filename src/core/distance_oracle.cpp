@@ -1,6 +1,7 @@
 #include "core/distance_oracle.hpp"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -17,8 +18,8 @@ std::uint32_t resolve_oracle_tau(NodeId n, std::uint32_t tau) {
       std::max(1.0, std::sqrt(static_cast<double>(n)) / (logn * logn)));
 }
 
-OracleBuild DistanceOracle::build_full(const Graph& g,
-                                       const DistanceOracleOptions& options) {
+StatusOr<OracleBuild> DistanceOracle::build_full(
+    const Graph& g, const DistanceOracleOptions& options) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n >= 1);
 
@@ -38,14 +39,23 @@ OracleBuild DistanceOracle::build_full(const Graph& g,
 
   QuotientGraph q = build_quotient(g, out.clustering, /*with_weights=*/true);
   out.quotient = std::move(q.weighted);
+  const NodeId k = out.quotient.num_nodes();
+  if (k > kDenseApspMaxNodes) {
+    return ResourceExhaustedError(
+        "oracle quotient has " + std::to_string(k) +
+        " clusters, over the dense APSP cap of " +
+        std::to_string(kDenseApspMaxNodes) +
+        " (lower tau for a coarser decomposition)");
+  }
 
   DistanceOracle& oracle = out.oracle;
   oracle.num_clusters_ = out.clustering.num_clusters();
   oracle.max_radius_ = out.clustering.max_radius();
   oracle.cluster_of_ = out.clustering.assignment;
   oracle.dist_to_center_ = out.clustering.dist_to_center;
-  // The dense APSP is the deliberate O(k²) cost; cap via apsp_matrix.
-  oracle.apsp_ = apsp_matrix(out.quotient, /*max_nodes=*/40000);
+  // The dense APSP is the deliberate O(k²) cost, capped above.
+  oracle.apsp_ = apsp_matrix(out.quotient, kDenseApspMaxNodes,
+                             &options.pool_or_global());
 
   options.emit("oracle.tau", static_cast<double>(tau));
   options.emit("oracle.quotient_nodes",
@@ -59,7 +69,7 @@ OracleBuild DistanceOracle::build_full(const Graph& g,
 
 DistanceOracle DistanceOracle::build(const Graph& g,
                                      const DistanceOracleOptions& options) {
-  return std::move(build_full(g, options).oracle);
+  return std::move(build_full(g, options).value().oracle);
 }
 
 std::uint64_t DistanceOracle::upper_bound(NodeId u, NodeId v) const {

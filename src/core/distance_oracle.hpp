@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/run_context.hpp"
+#include "common/status.hpp"
 #include "core/cluster.hpp"
 #include "core/clustering.hpp"
 #include "graph/graph.hpp"
@@ -49,17 +50,21 @@ struct OracleBuild;
 
 class DistanceOracle {
  public:
-  /// Builds the oracle over the *connected* graph `g`.
+  /// Builds the oracle over the *connected* graph `g`.  Aborts where
+  /// build_full returns an error.
   static DistanceOracle build(const Graph& g,
                               const DistanceOracleOptions& options = {});
 
   /// Like build, but also hands back the clustering and weighted quotient
-  /// the oracle was derived from.  Telemetry (when options.telemetry is
-  /// set): "oracle.tau", "oracle.quotient_nodes",
-  /// "oracle.quotient_half_edges", "oracle.apsp_small_path" (1 when the
-  /// linear-scan small-quotient APSP path was taken).
-  static OracleBuild build_full(const Graph& g,
-                                const DistanceOracleOptions& options = {});
+  /// the oracle was derived from.  kResourceExhausted, before the matrix
+  /// is allocated, when the quotient exceeds kDenseApspMaxNodes.  The
+  /// quotient APSP sweep runs on the options' pool, the one the clustering
+  /// used.  Telemetry (when options.telemetry is set): "oracle.tau",
+  /// "oracle.quotient_nodes", "oracle.quotient_half_edges",
+  /// "oracle.apsp_small_path" (1 when the linear-scan small-quotient APSP
+  /// path was taken).
+  [[nodiscard]] static StatusOr<OracleBuild> build_full(
+      const Graph& g, const DistanceOracleOptions& options = {});
 
   /// Upper bound on dist(u, v).  Exact 0 when u == v.
   [[nodiscard]] std::uint64_t upper_bound(NodeId u, NodeId v) const;

@@ -1,8 +1,12 @@
 #include "graph/weighted.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <tuple>
+
+#include "par/thread_pool.hpp"
 
 namespace gclus {
 
@@ -63,50 +67,64 @@ WeightedGraph WeightedGraph::from_unit_weights(const Graph& g) {
   return from_edges(g.num_nodes(), std::move(edges));
 }
 
-std::vector<Weight> dijkstra(const WeightedGraph& g, NodeId source) {
-  GCLUS_CHECK(source < g.num_nodes());
-  std::vector<Weight> dist(g.num_nodes(), kInfWeight);
-  using Item = std::pair<Weight, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[source] = 0;
-  pq.emplace(0, source);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d != dist[u]) continue;  // stale entry
-    for (const auto& [v, w] : g.neighbors(u)) {
-      const Weight nd = d + w;
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  return dist;
-}
-
-Weight weighted_eccentricity(const WeightedGraph& g, NodeId source) {
-  const auto dist = dijkstra(g, source);
-  Weight ecc = 0;
-  for (const Weight d : dist) {
-    if (d != kInfWeight) ecc = std::max(ecc, d);
-  }
-  return ecc;
-}
-
-Weight weighted_diameter_exact(const WeightedGraph& g) {
-  Weight diam = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    diam = std::max(diam, weighted_eccentricity(g, v));
-  }
-  return diam;
-}
-
 namespace {
 
-/// Linear-scan Dijkstra writing distances directly into `dist` (length n,
-/// pre-filled with kInfWeight).  See kApspSmallGraphNodes for why this
-/// exists; the settled mask fits a single 64-bit word at that size.
+using HeapItem = std::pair<Weight, NodeId>;
+
+/// Monotone priority queue for Dijkstra (the radix heap of Ahuja, Mehlhorn,
+/// Orlin and Tarjan).  An entry sits in the bucket of the highest bit in
+/// which its key differs from the last key popped, so it moves to a lower
+/// bucket at most 64 times and a pop scans one bucket, with no comparisons
+/// between entries.  Keys pushed must be >= the last key popped, which
+/// non-negative edge weights guarantee.  Against a reused binary heap it
+/// cut perfbench road-build's diameter_s median from 1.24 s to 0.89 s
+/// (10 alternating pairs, 10 wins; 4-vCPU x86 VM).  clear() keeps the
+/// buckets' storage.
+class RadixHeap {
+ public:
+  void clear() {
+    for (auto& b : buckets_) b.clear();
+    last_ = 0;
+    size_ = 0;
+  }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  void push(Weight key, NodeId v) {
+    buckets_[bucket_of(key)].emplace_back(key, v);
+    ++size_;
+  }
+
+  /// Removes and returns an entry of minimum key.
+  HeapItem pop() {
+    if (buckets_[0].empty()) {
+      std::size_t i = 1;
+      while (buckets_[i].empty()) ++i;
+      auto& from = buckets_[i];
+      last_ = std::min_element(from.begin(), from.end())->first;
+      for (const HeapItem& item : from) {
+        buckets_[bucket_of(item.first)].push_back(item);
+      }
+      from.clear();
+    }
+    const HeapItem top = buckets_[0].back();
+    buckets_[0].pop_back();
+    --size_;
+    return top;
+  }
+
+ private:
+  [[nodiscard]] std::size_t bucket_of(Weight key) const {
+    return key == last_ ? 0 : 64 - std::countl_zero(key ^ last_);
+  }
+
+  std::array<std::vector<HeapItem>, 65> buckets_;
+  Weight last_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Linear-scan Dijkstra for graphs of at most kApspSmallGraphNodes nodes
+/// (see there); the settled mask fits a single 64-bit word at that size.
 void dijkstra_small_into(const WeightedGraph& g, NodeId source,
                          std::span<Weight> dist) {
   const NodeId n = g.num_nodes();
@@ -129,23 +147,112 @@ void dijkstra_small_into(const WeightedGraph& g, NodeId source,
   }
 }
 
+/// The one Dijkstra loop: exact distances from `source` into `dist`
+/// (length n, pre-filled with kInfWeight).  `heap` is caller-owned storage
+/// reused across sources; its contents on entry are ignored.
+void dijkstra_row(const WeightedGraph& g, NodeId source,
+                  std::span<Weight> dist, RadixHeap& heap) {
+  GCLUS_CHECK(source < g.num_nodes());
+  if (g.num_nodes() <= kApspSmallGraphNodes) {
+    dijkstra_small_into(g, source, dist);
+    return;
+  }
+  heap.clear();
+  dist[source] = 0;
+  heap.push(0, source);
+  while (!heap.empty()) {
+    const auto [d, u] = heap.pop();
+    if (d != dist[u]) continue;  // stale entry
+    for (const auto& [v, w] : g.neighbors(u)) {
+      const Weight nd = d + w;
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        heap.push(nd, v);
+      }
+    }
+  }
+}
+
+/// Runs dijkstra_row from every node of `g` across `pool`.  Workers claim
+/// sources one at a time from an atomic cursor: a source costs a whole
+/// Dijkstra, which dwarfs the atomic.  For each source the worker obtains
+/// storage from `row_of(worker, source)`, fills it with kInfWeight, runs
+/// the kernel into it and hands the finished row to `visit(worker, row)`.
+template <typename RowOf, typename Visit>
+void sweep_all_sources(const WeightedGraph& g, ThreadPool& pool,
+                       const RowOf& row_of, const Visit& visit) {
+  const NodeId n = g.num_nodes();
+  std::atomic<NodeId> cursor{0};
+  pool.run_on_workers([&](std::size_t worker) {
+    RadixHeap heap;
+    for (;;) {
+      const NodeId s = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (s >= n) break;
+      const std::span<Weight> row = row_of(worker, s);
+      std::fill(row.begin(), row.end(), kInfWeight);
+      dijkstra_row(g, s, row, heap);
+      visit(worker, row);
+    }
+  });
+}
+
+ThreadPool& pool_or_global(ThreadPool* pool) {
+  return pool != nullptr ? *pool : ThreadPool::global();
+}
+
 }  // namespace
 
-std::vector<Weight> apsp_matrix(const WeightedGraph& g, NodeId max_nodes) {
+std::vector<Weight> dijkstra(const WeightedGraph& g, NodeId source) {
+  std::vector<Weight> dist(g.num_nodes(), kInfWeight);
+  RadixHeap heap;
+  dijkstra_row(g, source, dist, heap);
+  return dist;
+}
+
+Weight weighted_eccentricity(const WeightedGraph& g, NodeId source) {
+  Weight ecc = 0;
+  for (const Weight d : dijkstra(g, source)) {
+    if (d != kInfWeight) ecc = std::max(ecc, d);
+  }
+  return ecc;
+}
+
+Weight weighted_diameter_exact(const WeightedGraph& g, ThreadPool* pool) {
+  ThreadPool& p = pool_or_global(pool);
+  const NodeId n = g.num_nodes();
+  // One distance row and one running max per worker; each max is written
+  // only by its own worker and read after the sweep joins.
+  std::vector<std::vector<Weight>> rows(p.num_threads());
+  std::vector<Weight> worker_max(p.num_threads(), 0);
+  sweep_all_sources(
+      g, p,
+      [&](std::size_t worker, NodeId) {
+        rows[worker].resize(n);
+        return std::span<Weight>(rows[worker]);
+      },
+      [&](std::size_t worker, std::span<const Weight> row) {
+        Weight ecc = worker_max[worker];
+        for (const Weight d : row) {
+          if (d != kInfWeight) ecc = std::max(ecc, d);
+        }
+        worker_max[worker] = ecc;
+      });
+  return *std::max_element(worker_max.begin(), worker_max.end());
+}
+
+std::vector<Weight> apsp_matrix(const WeightedGraph& g, NodeId max_nodes,
+                                ThreadPool* pool) {
   const NodeId n = g.num_nodes();
   GCLUS_CHECK(n <= max_nodes,
               "apsp_matrix: quotient graph too large for dense APSP");
-  std::vector<Weight> mat(static_cast<std::size_t>(n) * n, kInfWeight);
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<Weight> row{mat.data() + static_cast<std::size_t>(v) * n,
-                                n};
-    if (n <= kApspSmallGraphNodes) {
-      dijkstra_small_into(g, v, row);
-    } else {
-      const auto dist = dijkstra(g, v);
-      std::copy(dist.begin(), dist.end(), row.begin());
-    }
-  }
+  std::vector<Weight> mat(static_cast<std::size_t>(n) * n);
+  sweep_all_sources(
+      g, pool_or_global(pool),
+      [&](std::size_t, NodeId s) {
+        return std::span<Weight>(mat.data() + static_cast<std::size_t>(s) * n,
+                                 n);
+      },
+      [](std::size_t, std::span<const Weight>) {});
   return mat;
 }
 

@@ -1,9 +1,22 @@
-// Weighted graphs, Dijkstra, and small-graph APSP.
+// Weighted graphs, Dijkstra, and the quotient's all-sources sweeps.
 //
-// The decomposition pipeline only needs weights on the *quotient* graph
-// (§4: edge weight = shortest inter-cluster connection length), which is
-// orders of magnitude smaller than the input graph, so this module favors
-// clarity over large-scale performance.
+// The decomposition pipeline needs weights only on the *quotient* graph
+// (§4: edge weight = shortest inter-cluster connection length).  Two of its
+// steps run Dijkstra from every quotient node: the exact weighted diameter
+// Δ′_C behind Δ″ = 2R + Δ′_C (Corollary 1) and the distance oracle's dense
+// APSP matrix.  With thousands of quotient nodes each sweep costs seconds
+// on one core, so both run as one parallel sweep: workers claim sources
+// from an atomic cursor, and each reuses its own distance row and heap
+// storage across the sources it takes.
+//
+// Pools: every sweep takes a trailing `ThreadPool*`; nullptr means the
+// process-global pool.  A sweep dispatches on that pool, and pools reject
+// nested run_on_workers, so a caller already running on a pool's worker
+// (an MR reducer, say) must pass a different pool — `ThreadPool(1)` runs
+// the sweep inline on the calling thread.
+//
+// Results: distances are exact, and each row depends only on its source,
+// so every output is bit-identical at any thread count.
 #pragma once
 
 #include <span>
@@ -14,6 +27,8 @@
 #include "graph/graph.hpp"
 
 namespace gclus {
+
+class ThreadPool;
 
 struct WeightedHalfEdge {
   NodeId to;
@@ -64,7 +79,8 @@ class WeightedGraph {
   std::vector<WeightedHalfEdge> adj_;
 };
 
-/// Single-source shortest paths (binary-heap Dijkstra).
+/// Single-source shortest paths: one row of the sweep kernel, run on the
+/// calling thread.  Unreachable nodes hold kInfWeight.
 [[nodiscard]] std::vector<Weight> dijkstra(const WeightedGraph& g,
                                            NodeId source);
 
@@ -72,23 +88,31 @@ class WeightedGraph {
 [[nodiscard]] Weight weighted_eccentricity(const WeightedGraph& g,
                                            NodeId source);
 
-/// Weighted diameter by running Dijkstra from every node.  Intended for
-/// quotient graphs (thousands of nodes), not raw inputs.
-[[nodiscard]] Weight weighted_diameter_exact(const WeightedGraph& g);
+/// Weighted diameter (max finite distance over all pairs), by Dijkstra
+/// from every node swept across `pool` (nullptr: the global pool).
+/// Intended for quotient graphs (thousands of nodes), not raw inputs.
+[[nodiscard]] Weight weighted_diameter_exact(const WeightedGraph& g,
+                                             ThreadPool* pool = nullptr);
 
-/// Below this node count apsp_matrix skips the binary heap and runs
-/// linear-scan Dijkstra straight over its output row: for tiny quotient
-/// graphs (deep meshes and paths decompose into a handful of clusters)
-/// the O(n²) scan beats heap traffic and allocation, and the matrix row
-/// doubles as the tentative-distance array so the sweep allocates nothing
-/// per source.  Distances are exact either way — only the schedule
-/// changes — so results are bit-identical across the two paths.
+/// Up to this node count the sweep's row kernel skips the heap and runs
+/// linear-scan Dijkstra straight over the output row: for tiny quotient
+/// graphs (deep meshes and paths decompose into a handful of clusters) the
+/// O(n²) scan beats heap traffic, and the row doubles as the
+/// tentative-distance array.  Distances are exact either way — only the
+/// schedule changes — so results are bit-identical across the two paths.
 inline constexpr NodeId kApspSmallGraphNodes = 64;
 
-/// All-pairs shortest paths as a dense n×n matrix (row-major).  The
-/// distance-oracle construction of §4 stores exactly this for the quotient
-/// graph; n is capped to keep the O(n²) memory deliberate.
-[[nodiscard]] std::vector<Weight> apsp_matrix(const WeightedGraph& g,
-                                              NodeId max_nodes = 20000);
+/// Largest graph apsp_matrix builds a dense matrix for, and so the largest
+/// quotient a distance oracle accepts: at 8-byte weights the matrix is
+/// n² · 8 bytes, 12.8 GB at the cap, so the O(n²) memory stays deliberate.
+inline constexpr NodeId kDenseApspMaxNodes = 40000;
+
+/// All-pairs shortest paths as a dense n×n matrix (row-major), the
+/// distance oracle's §4 payload for the quotient graph.  Rows are filled
+/// in place by the sweep across `pool` (nullptr: the global pool).  Aborts
+/// past `max_nodes`; callers facing untrusted sizes check first.
+[[nodiscard]] std::vector<Weight> apsp_matrix(
+    const WeightedGraph& g, NodeId max_nodes = kDenseApspMaxNodes,
+    ThreadPool* pool = nullptr);
 
 }  // namespace gclus

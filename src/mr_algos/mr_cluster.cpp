@@ -9,6 +9,7 @@
 #include "core/spanner.hpp"
 #include "graph/weighted.hpp"
 #include "mapreduce/superstep.hpp"
+#include "par/thread_pool.hpp"
 
 namespace gclus::mr_algos {
 
@@ -232,6 +233,9 @@ MrDiameterResult mr_cluster_diameter(mr::Engine& engine, const Graph& g,
 
   // --- Final round: the whole quotient lands on one reducer, which
   // solves the weighted diameter locally (Theorem 4's small-|E_C| case).
+  // The reducer runs on an engine worker, so its sweep gets an inline
+  // 1-thread pool: a single reducer's local solve is serial in the model,
+  // and a sweep on the engine's own pool would nest run_on_workers.
   Weight quotient_diameter = 0;
   std::vector<std::pair<std::uint8_t, std::uint64_t>> gather;
   gather.reserve(reduced.size());
@@ -240,7 +244,8 @@ MrDiameterResult mr_cluster_diameter(mr::Engine& engine, const Graph& g,
       std::move(gather),
       [&](const std::uint8_t&, std::span<std::uint64_t>,
           mr::Emitter<std::uint8_t, std::uint8_t>&) {
-        quotient_diameter = weighted_diameter_exact(quotient);
+        ThreadPool local(1);
+        quotient_diameter = weighted_diameter_exact(quotient, &local);
       });
 
   out.max_radius = c.max_radius();

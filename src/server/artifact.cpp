@@ -316,9 +316,10 @@ Status validate_artifact_arrays(const OracleArtifact& a) {
 
 }  // namespace
 
-OracleArtifact build_oracle_artifact(const Graph& g,
-                                     const DistanceOracleOptions& opts) {
-  OracleBuild build = DistanceOracle::build_full(g, opts);
+StatusOr<OracleArtifact> build_oracle_artifact(
+    const Graph& g, const DistanceOracleOptions& opts) {
+  GCLUS_ASSIGN_OR_RETURN(OracleBuild build,
+                         DistanceOracle::build_full(g, opts));
 
   OracleArtifactMeta meta;
   meta.graph_num_nodes = g.num_nodes();

@@ -93,9 +93,10 @@ struct OracleArtifact {
 };
 
 /// Runs the oracle decomposition on `g` and packages the result.  The
-/// artifact owns its payload (mapped == false).  Build telemetry flows
-/// through `opts` as in DistanceOracle::build_full.
-[[nodiscard]] OracleArtifact build_oracle_artifact(
+/// artifact owns its payload (mapped == false).  Build telemetry and
+/// errors (kResourceExhausted past the APSP cap) come from
+/// DistanceOracle::build_full.
+[[nodiscard]] StatusOr<OracleArtifact> build_oracle_artifact(
     const Graph& g, const DistanceOracleOptions& opts = {});
 
 /// Serializes `a` to `path` atomically: temp file next to the target,

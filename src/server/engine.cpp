@@ -25,7 +25,7 @@ StatusOr<QueryEngine> QueryEngine::build(Graph g,
     return InvalidArgumentError("cannot build a query engine over an empty "
                                 "graph");
   }
-  OracleArtifact a = build_oracle_artifact(g, opts);
+  GCLUS_ASSIGN_OR_RETURN(OracleArtifact a, build_oracle_artifact(g, opts));
   if (!apsp_fully_connected(a)) {
     return InvalidArgumentError(
         "cannot build a query engine over a disconnected graph (the oracle "

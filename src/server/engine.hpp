@@ -49,7 +49,9 @@ class QueryEngine {
 
   /// Runs the decomposition on `g` and serves from the result.
   /// kInvalidArgument when `g` is empty or not connected (the oracle's
-  /// APSP backend needs every cluster pair reachable).
+  /// APSP backend needs every cluster pair reachable); kResourceExhausted
+  /// when the quotient exceeds kDenseApspMaxNodes (checked before the dense
+  /// APSP matrix is allocated).
   [[nodiscard]] static StatusOr<QueryEngine> build(
       Graph g, const DistanceOracleOptions& opts = {});
 

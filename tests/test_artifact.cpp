@@ -18,6 +18,7 @@
 #include "core/distance_oracle.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/weighted.hpp"
 #include "server/artifact.hpp"
 #include "server/engine.hpp"
 #include "test_util.hpp"
@@ -77,7 +78,8 @@ class ArtifactRoundTripTest
 
 TEST_P(ArtifactRoundTripTest, WriteLoadPreservesEveryByte) {
   const auto& [name, graph] = GetParam();
-  const OracleArtifact built = build_oracle_artifact(graph, fixed_opts());
+  const OracleArtifact built =
+      build_oracle_artifact(graph, fixed_opts()).value();
   EXPECT_FALSE(built.mapped);
   EXPECT_EQ(built.meta.graph_num_nodes, graph.num_nodes());
   EXPECT_EQ(built.meta.graph_num_half_edges, graph.num_half_edges());
@@ -143,7 +145,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ArtifactCorruption, HeaderAndPayloadBitFlipsAreRejected) {
   const Graph g = gen::ring_of_cliques(6, 8);
-  const OracleArtifact built = build_oracle_artifact(g, fixed_opts());
+  const OracleArtifact built =
+      build_oracle_artifact(g, fixed_opts()).value();
   TempFile file("gclus_artifact_flip.orc");
   ASSERT_TRUE(write_oracle_artifact(built, file.path).ok());
   const std::vector<char> pristine = slurp(file.path);
@@ -177,7 +180,8 @@ TEST(ArtifactCorruption, HeaderAndPayloadBitFlipsAreRejected) {
 
 TEST(ArtifactCorruption, TruncationsAreDataLoss) {
   const Graph g = gen::grid(12, 12);
-  const OracleArtifact built = build_oracle_artifact(g, fixed_opts());
+  const OracleArtifact built =
+      build_oracle_artifact(g, fixed_opts()).value();
   TempFile file("gclus_artifact_trunc.orc");
   ASSERT_TRUE(write_oracle_artifact(built, file.path).ok());
   const std::vector<char> pristine = slurp(file.path);
@@ -216,7 +220,8 @@ TEST(ArtifactCorruption, MissingFileIsIoError) {
 TEST(ArtifactValidation, WrongGraphIsInvalidArgument) {
   const Graph g = gen::grid(10, 10);
   const Graph other = gen::cycle(64);
-  const OracleArtifact built = build_oracle_artifact(g, fixed_opts());
+  const OracleArtifact built =
+      build_oracle_artifact(g, fixed_opts()).value();
   const Status st = validate_artifact_for_graph(built, other);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
@@ -303,6 +308,21 @@ TEST(QueryEngineBuild, DisconnectedGraphIsInvalidArgument) {
   auto r = QueryEngine::build(b.build(), fixed_opts());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(QueryEngineBuild, QuotientPastApspCapIsResourceExhausted) {
+  // Every node of an edgeless graph is its own cluster, so the quotient
+  // is one node past the dense APSP cap.  The cap is checked before the
+  // connectivity check and before the matrix is allocated, so the build
+  // returns a Status instead of aborting inside apsp_matrix.
+  const NodeId n = kDenseApspMaxNodes + 1;
+  const Graph g(std::vector<EdgeId>(static_cast<std::size_t>(n) + 1, 0),
+                std::vector<NodeId>{});
+  auto r = QueryEngine::build(Graph(g), fixed_opts());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(build_oracle_artifact(g, fixed_opts()).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include "core/cluster.hpp"
 #include "core/diameter.hpp"
 #include "graph/generators.hpp"
+#include "graph/weighted.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace gclus {
@@ -104,6 +106,34 @@ TEST(DiameterApprox, ReusesInjectedClustering) {
   EXPECT_EQ(a.num_clusters, c.num_clusters());
   EXPECT_EQ(a.max_radius, c.max_radius());
   EXPECT_GE(a.upper_bound, 38u);
+}
+
+TEST(DiameterApprox, FromClusteringIdenticalAcrossPoolSizes) {
+  // The Δ′_C sweep runs on the context's pool; exact distances make the
+  // whole estimate independent of its size.
+  const Graph g =
+      testutil::largest_component_of(gen::road_like(60, 60, 0.05, 0.1, 43));
+  ClusterOptions copts;
+  copts.seed = 47;
+  const Clustering c = cluster(g, 4, copts);
+  ThreadPool one(1);
+  ThreadPool eight(8);
+  RunContext serial;
+  serial.pool = &one;
+  RunContext wide;
+  wide.pool = &eight;
+  const DiameterApprox a = diameter_from_clustering(g, c, serial);
+  const DiameterApprox b = diameter_from_clustering(g, c, wide);
+  ASSERT_GT(a.quotient_nodes, kApspSmallGraphNodes);  // the heap path
+  EXPECT_EQ(a.lower_bound, b.lower_bound);
+  EXPECT_EQ(a.upper_bound, b.upper_bound);
+  EXPECT_EQ(a.upper_bound_coarse, b.upper_bound_coarse);
+  EXPECT_EQ(a.weighted_quotient_diameter, b.weighted_quotient_diameter);
+  EXPECT_EQ(a.max_radius, b.max_radius);
+  EXPECT_EQ(a.quotient_nodes, b.quotient_nodes);
+  EXPECT_EQ(a.quotient_edges, b.quotient_edges);
+  EXPECT_EQ(a.growth_steps, b.growth_steps);
+  EXPECT_EQ(a.num_clusters, b.num_clusters);
 }
 
 TEST(DiameterApprox, PathApproximationIsTight) {

@@ -16,6 +16,7 @@
 #include "mr_algos/mr_cluster.hpp"
 #include "mr_algos/mr_hadi.hpp"
 #include "mr_algos/mr_mpx.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace gclus::mr_algos {
@@ -363,22 +364,39 @@ TEST(MrClusterDiameter, SoundUpperBoundOnCorpusSubset) {
 }
 
 TEST(MrClusterDiameter, MatchesSharedMemoryPipelineEstimate) {
+  // The engine runs its reducers on a 4-thread pool, and the shared-memory
+  // Δ′_C sweep below runs on that same pool, so the final reducer's sweep
+  // must stay off it: run_on_workers does not nest.  A default engine
+  // runs its reducers on the global pool, checked too when that pool has
+  // more than one thread.
   const Graph g = gen::road_like(20, 20, 0.08, 0.02, 41);
-  mr::Engine engine;
-  MrClusterOptions mopts;
-  mopts.seed = 43;
-  const MrDiameterResult mr_result = mr_cluster_diameter(engine, g, 3, mopts);
-
-  // The shared-memory pipeline over the same clustering must agree on the
-  // Δ″ estimate (identical partition -> identical weighted quotient).
+  ThreadPool pool(4);
   ClusterOptions copts;
   copts.seed = 43;
+  copts.pool = &pool;
   const Clustering c = cluster(g, 3, copts);
-  const DiameterApprox shared = diameter_from_clustering(g, c);
-  EXPECT_EQ(mr_result.estimate, shared.upper_bound);
-  EXPECT_EQ(mr_result.quotient_nodes, shared.quotient_nodes);
-  EXPECT_EQ(mr_result.quotient_edges, shared.quotient_edges);
-  EXPECT_EQ(mr_result.max_radius, shared.max_radius);
+  // The shared-memory pipeline over the same clustering must agree on the
+  // Δ″ estimate (identical partition -> identical weighted quotient).
+  const DiameterApprox shared = diameter_from_clustering(g, c, copts);
+
+  const auto expect_matches_shared = [&](mr::Engine& engine) {
+    MrClusterOptions mopts;
+    mopts.seed = 43;
+    const MrDiameterResult mr_result =
+        mr_cluster_diameter(engine, g, 3, mopts);
+    EXPECT_EQ(mr_result.estimate, shared.upper_bound);
+    EXPECT_EQ(mr_result.quotient_nodes, shared.quotient_nodes);
+    EXPECT_EQ(mr_result.quotient_edges, shared.quotient_edges);
+    EXPECT_EQ(mr_result.max_radius, shared.max_radius);
+  };
+  mr::Config config;
+  config.pool = &pool;
+  mr::Engine on_pool(config);
+  expect_matches_shared(on_pool);
+  if (ThreadPool::global().num_threads() > 1) {
+    mr::Engine on_global;
+    expect_matches_shared(on_global);
+  }
 }
 
 }  // namespace
