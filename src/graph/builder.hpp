@@ -50,12 +50,17 @@ class GraphBuilder {
   [[nodiscard]] std::size_t num_pending_edges() const { return edges_.size(); }
 
   /// Builds the normalized CSR graph, consuming the accumulated edges.
-  /// Large builds sort and scatter on `pool` (the no-argument form uses
-  /// the process-global pool); the result is byte-identical for any pool.
+  /// Large builds run a bucketed counting sort on `pool` (edge blocks
+  /// scatter into node-range buckets, then one task per range sorts its
+  /// rows); small ones run inline.  The no-argument form uses the
+  /// process-global pool.  The result is byte-identical for any pool.
   [[nodiscard]] Graph build();
   [[nodiscard]] Graph build(ThreadPool& pool);
 
  private:
+  /// build() on `par`, or inline on the caller when `par` is null.
+  Graph build_on(ThreadPool* par);
+
   NodeId num_nodes_;
   std::vector<Edge> edges_;
 };

@@ -4,10 +4,11 @@
 //
 //   * Edge-list text — the format of the SNAP/LAW datasets the paper uses:
 //     one "u v" pair per line, '#'/'%' comments, arbitrary sparse ids.
-//     Reading a *file* goes through a parallel parser (per-thread byte
-//     chunks split on line boundaries, merged with the prefix-sum
-//     machinery in par/) whose output is byte-identical to the serial
-//     stream parser at any thread count.
+//     Reading a *file* goes through a parallel parser (fixed-size byte
+//     chunks split on line boundaries parse concurrently; ids are numbered
+//     in first-appearance order by an atomic-min pass that finds each id's
+//     first chunk and a prefix sum over per-chunk counts) whose output is
+//     byte-identical to the serial stream parser at any thread count.
 //
 //   * CSR v1 binary (legacy) — magic + n + m + raw arrays in host
 //     endianness.  Kept for old dumps; the reader validates the header
@@ -80,9 +81,10 @@ namespace gclus::io {
 
 /// Parallel edge-list parser over an in-memory buffer: the text is split
 /// into fixed-size byte chunks advanced to line boundaries, chunks parse
-/// concurrently on `pool`, and the per-chunk edge lists merge in file
-/// order via prefix sums — so the result (including node numbering) is
-/// byte-identical to read_edge_list at any thread count.
+/// concurrently on `pool`, and dense ids are numbered concurrently by
+/// their first file position (sparse ids through a serial hash map) — so
+/// the result (including node numbering) is byte-identical to
+/// read_edge_list at any thread count.
 [[nodiscard]] Graph parse_edge_list(std::string_view text, ThreadPool& pool);
 
 /// Reads an edge-list file through parse_edge_list (mmap-ing the text when

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "par/thread_pool.hpp"
@@ -113,11 +114,13 @@ T parallel_sum(ThreadPool& pool, std::size_t begin, std::size_t end,
       pool, begin, end, T{}, map, [](T a, T b) { return a + b; }, grain);
 }
 
-/// Atomic fetch-min for unsigned integral types: lowers `target` to `value`
-/// if smaller.  Returns true if this call performed the update.
-template <typename T>
-bool atomic_fetch_min(std::atomic<T>& target, T value) {
-  T cur = target.load(std::memory_order_relaxed);
+/// Atomic fetch-min for unsigned integral types: lowers `target` (a
+/// std::atomic, or a std::atomic_ref over plain storage) to `value` if
+/// smaller.  Returns true if this call performed the update.
+template <typename Atomic>
+bool atomic_fetch_min(Atomic&& target,
+                      typename std::remove_cvref_t<Atomic>::value_type value) {
+  auto cur = target.load(std::memory_order_relaxed);
   while (value < cur) {
     if (target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
       return true;
@@ -127,8 +130,11 @@ bool atomic_fetch_min(std::atomic<T>& target, T value) {
 }
 
 /// Exclusive prefix sum of `values` in place; returns the grand total.
-/// Sequential: prefix sizes in this library are O(#clusters) or O(#workers),
-/// never the hot path.  (The MR engine has its own round-counted primitive.)
+/// Sequential: the inputs are per-cluster, per-worker, per-chunk or
+/// per-block counts.  The largest is the graph builder's block x range
+/// matrix (at most 4 * #threads * 1024 entries), summed once per pass
+/// over far more data.
+/// (The MR engine has its own round-counted primitive.)
 template <typename T>
 T exclusive_prefix_sum(std::vector<T>& values) {
   T total{};

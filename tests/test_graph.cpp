@@ -1,12 +1,17 @@
-// Unit tests for the CSR Graph, the builder normalization rules, and
+// Unit tests for the CSR Graph, the builder normalization rules (also
+// against an independent std::sort reference at several pool sizes), and
 // induced subgraphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/subgraph.hpp"
+#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace gclus {
@@ -76,6 +81,106 @@ TEST(GraphBuilder, IncrementalAddEdges) {
 TEST(GraphBuilderDeathTest, RejectsOutOfRangeEndpoint) {
   GraphBuilder b(3);
   EXPECT_DEATH(b.add_edge(0, 3), "out of range");
+}
+
+// ---- builder vs an independent reference ------------------------------------
+
+/// The normalization rules spelled out directly: both directions of every
+/// non-loop edge, std::sort, std::unique, then rows in order.  Shares no
+/// code with GraphBuilder.
+Graph reference_build(NodeId n, const std::vector<Edge>& edges) {
+  std::vector<Edge> halves;
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    halves.emplace_back(u, v);
+    halves.emplace_back(v, u);
+  }
+  std::sort(halves.begin(), halves.end());
+  halves.erase(std::unique(halves.begin(), halves.end()), halves.end());
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<NodeId> neighbors;
+  for (const auto& [u, v] : halves) {
+    ++offsets[u + 1];
+    neighbors.push_back(v);
+  }
+  for (NodeId u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  return Graph(std::move(offsets), std::move(neighbors));
+}
+
+struct BuilderCase {
+  std::string name;
+  NodeId n;
+  std::vector<Edge> edges;
+};
+
+/// `m` random edges over [0, n), then duplicates, reversed copies and
+/// self-loops of some of them, shuffled.
+std::vector<Edge> messy_edges(NodeId n, std::size_t m, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<NodeId> node(0, n - 1);
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < m; ++i) edges.emplace_back(node(rng), node(rng));
+  for (std::size_t i = 0; i < m / 8; ++i) {
+    const Edge e = edges[i * 7];
+    edges.push_back(e);
+    edges.emplace_back(e.second, e.first);
+    edges.emplace_back(e.first, e.first);
+  }
+  std::shuffle(edges.begin(), edges.end(), rng);
+  return edges;
+}
+
+/// A star around `hub` over [0, n), each spoke listed twice (once
+/// reversed), shuffled: the hub's row spans every edge block.
+std::vector<Edge> star_edges(NodeId n, NodeId hub, std::uint64_t seed) {
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    if (v == hub) continue;
+    edges.emplace_back(hub, v);
+    if (v % 3 == 0) edges.emplace_back(v, hub);
+  }
+  std::mt19937_64 rng(seed);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  return edges;
+}
+
+std::vector<BuilderCase> builder_cases() {
+  std::vector<BuilderCase> cases;
+  // Multi-block parallel builds (>= 2^16 edges); 100000 is not a multiple
+  // of the 128-node range width.
+  cases.push_back({"messy", 100000, messy_edges(100000, 300000, 1)});
+  // 2^17 + 1 nodes: the last range holds one node, which gets edges.
+  {
+    const NodeId n = (NodeId{1} << 17) + 1;
+    std::vector<Edge> edges = messy_edges(n, 120000, 2);
+    edges.emplace_back(n - 1, 0);
+    edges.emplace_back(n - 1, n - 2);
+    cases.push_back({"two_pow_17_plus_1", n, std::move(edges)});
+  }
+  cases.push_back({"star", 150000, star_edges(150000, 70001, 3)});
+  // Inline builds (< 2^16 edges), one with a hub row of 6000 leaves.
+  cases.push_back({"small_messy", 50, messy_edges(50, 200, 4)});
+  cases.push_back({"small_star", 6000, star_edges(6000, 17, 5)});
+  cases.push_back({"empty", 0, {}});
+  cases.push_back({"single_node", 1, {{0, 0}, {0, 0}}});
+  cases.push_back({"edgeless", 1000, {}});
+  cases.push_back({"loops_only", 70000, messy_edges(1, 70000, 6)});
+  return cases;
+}
+
+TEST(GraphBuilder, MatchesSortReferenceAtAnyPoolSize) {
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  for (const BuilderCase& c : builder_cases()) {
+    const Graph want = reference_build(c.n, c.edges);
+    for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+      GraphBuilder b(c.n);
+      b.add_edges(c.edges);
+      const Graph got = b.build(*pool);
+      EXPECT_TRUE(testutil::same_csr(want, got))
+          << c.name << " at " << pool->num_threads() << " threads";
+      EXPECT_TRUE(got.validate()) << c.name;
+    }
+  }
 }
 
 TEST(Graph, HasEdgeBinarySearch) {

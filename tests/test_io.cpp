@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -131,6 +133,58 @@ TEST(ParallelParser, DeterministicAcrossThreadCounts) {
   EXPECT_TRUE(testutil::same_csr(a, serial_parse(text)));
   EXPECT_EQ(a.num_nodes(), g.num_nodes());
   EXPECT_EQ(a.num_edges(), g.num_edges());
+}
+
+/// More than 4 MiB of shuffled edge-list text over ids id_of(0..): random
+/// edges with duplicates and self-loops, lines of two brand-new ids spread
+/// evenly through the file (so ids first appear in every chunk, the last
+/// ones included), and comment and junk lines straddling every 1 MiB
+/// parse-chunk boundary.
+template <typename IdOf>
+std::string multi_chunk_text(const IdOf& id_of, std::uint64_t seed) {
+  constexpr std::uint64_t kIds = 200000;
+  std::mt19937_64 rng(seed);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> lines;
+  for (std::size_t i = 0; i < 350000; ++i) {
+    const std::uint64_t u = rng() % kIds;
+    lines.emplace_back(u, i % 97 == 0 ? u : rng() % kIds);
+  }
+  for (std::size_t i = 0; i < 20000; ++i) lines.push_back(lines[i * 13]);
+  std::shuffle(lines.begin(), lines.end(), rng);
+  for (std::uint64_t k = 0; k < 2000; ++k) {
+    lines[(k + 1) * lines.size() / 2001] = {kIds + 2 * k, kIds + 2 * k + 1};
+  }
+  std::string text;
+  std::size_t boundary = std::size_t{1} << 20;
+  for (const auto& [u, v] : lines) {
+    if (text.size() + 32 > boundary) {
+      text += "# comment across a chunk boundary\nx 1\n7\n% more\n";
+      boundary += std::size_t{1} << 20;
+    }
+    text += std::to_string(id_of(u)) + ' ' + std::to_string(id_of(v)) + '\n';
+  }
+  return text;
+}
+
+TEST(ParallelParser, NumbersIdsLikeSerialAcrossChunks) {
+  const std::string dense =
+      multi_chunk_text([](std::uint64_t id) { return id; }, 21);
+  // Ids up to about 1M over about 370k edges: dense, with unused slots.
+  const std::string gapped =
+      multi_chunk_text([](std::uint64_t id) { return 5 * id; }, 23);
+  const std::string sparse = multi_chunk_text(
+      [](std::uint64_t id) { return id * 1000003 + 12345; }, 22);
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  for (const auto& [name, text] :
+       {std::pair{"dense", &dense}, std::pair{"gapped", &gapped},
+        std::pair{"sparse", &sparse}}) {
+    ASSERT_GT(text->size(), std::size_t{4} << 20);
+    const Graph want = serial_parse(*text);
+    for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+      EXPECT_TRUE(testutil::same_csr(want, parse_edge_list(*text, *pool)))
+          << name << " ids at " << pool->num_threads() << " threads";
+    }
+  }
 }
 
 TEST(ParallelParser, CorpusTextRoundTrip) {
