@@ -42,6 +42,7 @@
 #include "common/timer.hpp"
 #include "graph/bfs.hpp"
 #include "graph/compressed.hpp"
+#include "graph/container.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "par/thread_pool.hpp"
@@ -65,6 +66,20 @@ constexpr double kMaxDecodeOverhead = 0.25;
 constexpr NodeId kSkewNodes = 200000;
 constexpr NodeId kSkewAttach = 4;
 constexpr std::uint64_t kSkewSeed = 11;
+
+/// Exits with `st`'s error: a bench cannot go on without its files.
+void ok_or_exit(const Status& st) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "BENCH FAILED: %s\n", st.to_string().c_str());
+    std::exit(1);
+  }
+}
+
+template <typename T>
+T ok_or_exit(StatusOr<T> r) {
+  ok_or_exit(r.ok() ? OkStatus() : r.status());
+  return std::move(r).value();
+}
 
 /// Best-of-N wall time for a loader; every invocation's result must
 /// satisfy `check` (so timing never trades off correctness).
@@ -97,7 +112,7 @@ int main() {
   io::write_edge_list_file(g, txt_path);
   const double write_text_s = t_write_txt.elapsed_s();
   Timer t_write_csr;
-  io::write_csr_file(g, csr_path);
+  ok_or_exit(io::write_csr(g, csr_path));
   const double write_csr_s = t_write_csr.elapsed_s();
   const auto text_bytes =
       static_cast<std::uint64_t>(std::filesystem::file_size(txt_path));
@@ -143,7 +158,7 @@ int main() {
   ThreadPool pool1(1), pool2(2), pool8(8);
   const auto parse_with = [&](ThreadPool& pool) {
     return best_of(
-        3, [&] { return io::read_edge_list_file(txt_path, pool); },
+        3, [&] { return ok_or_exit(io::load_edge_list(txt_path, pool)); },
         expect_reference);
   };
   const double parallel_1t_s = parse_with(pool1);
@@ -167,7 +182,8 @@ int main() {
   const double csr_copy_s = best_of(
       3,
       [&] {
-        return io::load_csr_file(csr_path, {.mode = io::CsrLoadMode::kCopy});
+        return ok_or_exit(
+            io::load_csr(csr_path, {.mode = io::CsrLoadMode::kCopy}));
       },
       expect_g);
   double csr_mmap_s = csr_copy_s;
@@ -176,8 +192,8 @@ int main() {
     csr_mmap_s = best_of(
         3,
         [&] {
-          return io::load_csr_file(csr_path,
-                                   {.mode = io::CsrLoadMode::kMmap});
+          return ok_or_exit(
+              io::load_csr(csr_path, {.mode = io::CsrLoadMode::kMmap}));
         },
         [&](const Graph& h) {
           if (h.owns_storage()) {
@@ -202,9 +218,9 @@ int main() {
                    "included");
 
   // --- determinism across thread counts (full graphs, not just times). ---
-  const Graph p1 = io::read_edge_list_file(txt_path, pool1);
-  const Graph p2 = io::read_edge_list_file(txt_path, pool2);
-  const Graph p8 = io::read_edge_list_file(txt_path, pool8);
+  const Graph p1 = ok_or_exit(io::load_edge_list(txt_path, pool1));
+  const Graph p2 = ok_or_exit(io::load_edge_list(txt_path, pool2));
+  const Graph p8 = ok_or_exit(io::load_edge_list(txt_path, pool8));
   const bool deterministic =
       std::ranges::equal(p1.neighbor_array(), p2.neighbor_array()) &&
       std::ranges::equal(p1.neighbor_array(), p8.neighbor_array()) &&
@@ -214,8 +230,8 @@ int main() {
   // --- owning vs mmap through the registry. ---
   bool registry_identical = true;
   if (have_mmap) {
-    const Graph mapped =
-        io::load_csr_file(csr_path, {.mode = io::CsrLoadMode::kMmap});
+    const Graph mapped = ok_or_exit(
+        io::load_csr(csr_path, {.mode = io::CsrLoadMode::kMmap}));
     AlgoParams params;
     params.set("tau", std::uint64_t{16});
     RunContext ctx_own, ctx_map;
@@ -232,7 +248,7 @@ int main() {
   Timer t_compress;
   const CompressedGraph cz = compress(g, pool8);
   const double compress_s = t_compress.elapsed_s();
-  io::write_csr_file(cz, cz_path);
+  ok_or_exit(io::write_csr(cz, cz_path));
   const auto cz_bytes =
       static_cast<std::uint64_t>(std::filesystem::file_size(cz_path));
   const double compression_ratio =
@@ -255,7 +271,7 @@ int main() {
   // Compressed load includes the checksum and the full structural decode
   // walk; the round trip must reproduce g's CSR arrays byte-for-byte.
   const double cz_load_s = best_of(
-      3, [&] { return io::load_compressed_csr_file(cz_path); },
+      3, [&] { return ok_or_exit(io::load_compressed_csr(cz_path)); },
       [&](const CompressedGraph& h) {
         if (h.num_nodes() != g.num_nodes() ||
             h.num_half_edges() != g.num_half_edges()) {
@@ -263,7 +279,7 @@ int main() {
           std::exit(1);
         }
       });
-  expect_g(io::load_compressed_csr_file(cz_path).decompress(pool8));
+  expect_g(ok_or_exit(io::load_compressed_csr(cz_path)).decompress(pool8));
 
   TablePrinter cz_table({"layout", "bytes", "bits/half-edge", "vs csr2"});
   cz_table.add_row({"csr2 plain", fmt_u(csr_bytes),

@@ -1,6 +1,6 @@
 // Graph serialization and ingestion.
 //
-// Three on-disk representations:
+// Two on-disk representations:
 //
 //   * Edge-list text — the format of the SNAP/LAW datasets the paper uses:
 //     one "u v" pair per line, '#'/'%' comments, arbitrary sparse ids.
@@ -10,52 +10,43 @@
 //     first chunk and a prefix sum over per-chunk counts) whose output is
 //     byte-identical to the serial stream parser at any thread count.
 //
-//   * CSR v1 binary (legacy) — magic + n + m + raw arrays in host
-//     endianness.  Kept for old dumps; the reader validates the header
-//     against the file size and rejects truncated files.
+//   * CSR v2 binary — a versioned header over the shared section
+//     container (graph/container.hpp: 64-byte-aligned sections,
+//     little-endian integers, FNV-1a checksum, bounds rule, absent
+//     sections).  Loading can mmap the file and hand the offset/neighbor
+//     sections to Graph *in place* (zero copy, non-owning storage mode),
+//     falling back to read() on platforms without mmap.
 //
-//   * CSR v2 binary — the scalable format: fixed little-endian layout,
-//     versioned header with explicit section positions, FNV-1a payload
-//     checksum, 64-byte-aligned sections, and an optional weights section.
-//     Loading can mmap the file and hand the offset/neighbor sections to
-//     Graph *in place* (zero copy, non-owning storage mode), falling back
-//     to read() on platforms without mmap.
-//
-// CSR v2 layout (all integers little-endian):
+// CSR v2 header (the checksum covers no header bytes, only the sections):
 //
 //   offset  size  field
 //   0       8     magic "GCLUSCS2"
 //   8       4     version (2)
-//   12      4     flags (bit 0: weights section present)
+//   12      4     flags (bit 0: weights section present; bit 1: compressed)
 //   16      8     n  (node count; offsets section has n+1 entries)
 //   24      8     m  (directed half-edge count; 2x undirected edges)
 //   32      8     offsets_pos    (byte position of the offsets section)
 //   40      8     neighbors_pos
 //   48      8     weights_pos    (0 when absent)
-//   56      8     checksum (FNV-1a 64 over the payload sections, in order)
+//   56      8     checksum
 //   64      8     reserved (0)
-//   ...           zero padding to offsets_pos
-//   sections: offsets (n+1)*8B, neighbors m*4B, weights m*8B, each start
-//   aligned to 64 bytes.
-// Error handling: the `load_*`/`write_*` Status functions are the
-// recoverable core — open/validation/write failures come back as a
-// Status (kInvalidArgument: not a CSR v2 file; kDataLoss: truncated or
+//   sections: offsets (n+1)*8B, neighbors m*4B, weights m*8B.  A
+//   compressed file instead holds a parameter block and six byte sections
+//   (see io.cpp and graph/compressed.hpp).
+//
+// Error handling: every load/write returns a Status (kInvalidArgument:
+// not a CSR v2 file of the family asked for; kDataLoss: truncated or
 // checksum-mismatched; kIoError: the environment failed) instead of
 // aborting, so a long-lived caller can reject one bad file and keep
-// serving.  The historical abort-on-error entry points (load_csr_file,
-// write_csr_file, ...) and the optional-returning try_* variants are thin
-// wrappers over them.  Fault points "io.open", "io.mmap", "io.read",
-// "io.write" (common/faultpoint.hpp) cover every environmental failure
-// here; an injected "io.mmap" failure under CsrLoadMode::kAuto degrades
-// to the read() path with byte-identical results.
+// serving.  Fault points "io.open", "io.mmap", "io.read", "io.write"
+// (common/faultpoint.hpp) cover every environmental failure here; an
+// injected "io.mmap" failure under CsrLoadMode::kAuto degrades to the
+// read() path with byte-identical results.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -94,27 +85,15 @@ namespace gclus::io {
 [[nodiscard]] StatusOr<Graph> load_edge_list(const std::string& path,
                                              ThreadPool& pool);
 
-/// Abort-on-error wrappers over load_edge_list.
-[[nodiscard]] Graph read_edge_list_file(const std::string& path);
-[[nodiscard]] Graph read_edge_list_file(const std::string& path,
-                                        ThreadPool& pool);
-
 /// Writes "u v" per undirected edge (u < v).
 void write_edge_list(const Graph& g, std::ostream& out);
 void write_edge_list_file(const Graph& g, const std::string& path);
-
-// ---- CSR v1 binary (legacy) -------------------------------------------------
-
-/// Binary round-trip: magic, n, m, offsets, neighbors (host endianness).
-/// Prefer the CSR v2 functions below for new data.
-void write_binary_file(const Graph& g, const std::string& path);
-[[nodiscard]] Graph read_binary_file(const std::string& path);
 
 // ---- CSR v2 binary ----------------------------------------------------------
 
 enum class CsrLoadMode {
   kAuto,  ///< mmap when available, else copy
-  kMmap,  ///< require mmap; abort if unsupported
+  kMmap,  ///< require a mapping; an error if the file cannot be mapped
   kCopy,  ///< read() into owning vectors
 };
 
@@ -152,14 +131,15 @@ struct Csr2Info {
 [[nodiscard]] Status write_csr(const CompressedGraph& g,
                                const std::string& path);
 
-/// Loads an unweighted CSR v2 file.  In mmap mode the returned Graph views
-/// the mapped sections in place (Graph::owns_storage() == false) and the
-/// mapping is pinned for the graph's lifetime — the file may be unlinked
-/// afterwards.  A compressed file is loaded through load_compressed_csr
-/// and decompressed, so plain-CSR consumers (the dataset cache) accept
-/// either layout transparently.  Errors: kInvalidArgument (not CSR v2 /
-/// unknown flags / weighted file), kDataLoss (truncated, checksum
-/// mismatch, corrupt payload), kIoError (cannot open / mmap).
+/// Loads an unweighted CSR v2 file.  Mapped on a little-endian host, the
+/// returned Graph views the sections in place (Graph::owns_storage() ==
+/// false) and the mapping is pinned for the graph's lifetime — the file
+/// may be unlinked afterwards.  A compressed file is loaded as in
+/// load_compressed_csr and decompressed, so plain-CSR consumers (the
+/// dataset cache) accept either layout transparently.  Errors:
+/// kInvalidArgument (not CSR v2 / unknown flags / weighted file),
+/// kDataLoss (truncated, checksum mismatch, corrupt payload), kIoError
+/// (cannot open / mmap).
 [[nodiscard]] StatusOr<Graph> load_csr(const std::string& path,
                                        const CsrLoadOptions& opts = {});
 
@@ -181,53 +161,11 @@ struct Csr2Info {
 [[nodiscard]] StatusOr<WeightedGraph> load_weighted_csr(
     const std::string& path, const CsrLoadOptions& opts = {});
 
-/// Abort-on-error wrappers over write_csr / load_csr /
-/// load_weighted_csr, for batch callers where any failure is terminal.
-void write_csr_file(const Graph& g, const std::string& path);
-void write_csr_file(const WeightedGraph& g, const std::string& path);
-void write_csr_file(const CompressedGraph& g, const std::string& path);
-[[nodiscard]] Graph load_csr_file(const std::string& path,
-                                  const CsrLoadOptions& opts = {});
-[[nodiscard]] WeightedGraph load_weighted_csr_file(
-    const std::string& path, const CsrLoadOptions& opts = {});
-[[nodiscard]] CompressedGraph load_compressed_csr_file(
-    const std::string& path, const CsrLoadOptions& opts = {});
-
-/// Optional-returning wrappers for best-effort consumers that only need
-/// success/failure, not the error detail.
-[[nodiscard]] bool try_write_csr_file(const Graph& g, const std::string& path);
-[[nodiscard]] std::optional<Graph> try_load_csr_file(
-    const std::string& path, const CsrLoadOptions& opts = {});
-
 /// True if `path` exists and starts with the CSR v2 magic.
 [[nodiscard]] bool is_csr_file(const std::string& path);
 
 /// Header of a CSR v2 file without loading the payload; nullopt if the
 /// file is missing, short, or not CSR v2.
 [[nodiscard]] std::optional<Csr2Info> probe_csr_file(const std::string& path);
-
-/// True when this platform supports mmap-backed loading (POSIX).
-[[nodiscard]] bool mmap_supported();
-
-// ---- raw file bytes ---------------------------------------------------------
-
-/// Read-only contents of a whole file.  `keepalive` pins the backing
-/// storage (an mmap-ed region or an owned buffer) for as long as any copy
-/// of it lives, so `bytes` may be viewed in place — the same non-owning
-/// contract as mmap-loaded Graphs.
-struct FileContents {
-  std::span<const std::byte> bytes;
-  std::shared_ptr<const void> keepalive;
-  bool mapped = false;
-};
-
-/// Maps (when `prefer_mmap` and the platform allows — falling back to a
-/// plain read, the CsrLoadMode::kAuto degradation) or reads `path`.
-/// kIoError when the file cannot be opened or read.  Covered by the
-/// "io.open" / "io.mmap" / "io.read" fault points; consumers of other
-/// formats (the oracle artifact sidecar) build on this instead of
-/// reimplementing the mapping path.
-[[nodiscard]] StatusOr<FileContents> read_or_map_file(const std::string& path,
-                                                      bool prefer_mmap = true);
 
 }  // namespace gclus::io

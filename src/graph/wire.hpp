@@ -1,19 +1,16 @@
-// Little-endian wire-format helpers shared by the binary serializers.
+// Little-endian wire-format helpers under the binary container.
 //
-// The CSR v2 writer/reader (graph/io.cpp) and the oracle artifact sidecar
-// (server/artifact.cpp) speak the same dialect: fixed little-endian
-// integers, 64-byte-aligned sections, and an FNV-1a payload checksum.
-// These helpers are the single definition of that dialect, so the two
-// formats cannot drift — a checksum computed by one serializer verifies
-// in the other's reader.
+// CSR v2 (graph/io.cpp) and the oracle artifact (server/artifact.cpp) are
+// both written and read through the section container
+// (graph/container.hpp): fixed little-endian integers, 64-byte-aligned
+// sections, and an FNV-1a checksum.  These helpers are the integer and
+// checksum primitives it and the format headers are built from.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 namespace gclus::io::wire {
@@ -53,48 +50,7 @@ T from_le(T v) {
   return to_le(v);
 }
 
-inline constexpr std::uint64_t align_up(std::uint64_t pos,
-                                        std::uint64_t align) {
-  return (pos + align - 1) / align * align;
-}
-
-/// Checksums `count` elements of `data` in their little-endian byte
-/// representation (a straight pass over memory on LE hosts).
-template <typename T>
-std::uint64_t fnv1a_array_le(std::uint64_t h, const T* data,
-                             std::uint64_t count) {
-  if constexpr (kLittleEndian) {
-    return fnv1a(h, data, static_cast<std::size_t>(count) * sizeof(T));
-  } else {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const T le = to_le(data[i]);
-      h = fnv1a(h, &le, sizeof(T));
-    }
-    return h;
-  }
-}
-
-template <typename T>
-void write_array_le(std::ofstream& out, const T* data, std::uint64_t count) {
-  if constexpr (kLittleEndian) {
-    out.write(reinterpret_cast<const char*>(data),
-              static_cast<std::streamsize>(count * sizeof(T)));
-  } else {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const T le = to_le(data[i]);
-      out.write(reinterpret_cast<const char*>(&le), sizeof(T));
-    }
-  }
-}
-
-template <typename T>
-void put_le(std::ofstream& out, T v) {
-  const T le = to_le(v);
-  out.write(reinterpret_cast<const char*>(&le), sizeof(T));
-}
-
-/// Stores `v` little-endian at `p` — for assembling a header buffer in
-/// memory when its checksum must cover the header bytes themselves.
+/// Stores `v` little-endian at `p`.
 template <typename T>
 void store_le_at(std::byte* p, T v) {
   const T le = to_le(v);
@@ -106,15 +62,6 @@ T read_le_at(const std::byte* p) {
   T v;
   std::memcpy(&v, p, sizeof(T));
   return from_le(v);
-}
-
-inline void write_zeros(std::ofstream& out, std::uint64_t count) {
-  static constexpr std::array<char, 64> zeros{};
-  while (count > 0) {
-    const std::uint64_t n = std::min<std::uint64_t>(count, zeros.size());
-    out.write(zeros.data(), static_cast<std::streamsize>(n));
-    count -= n;
-  }
 }
 
 template <typename T>

@@ -1,25 +1,15 @@
 #include "server/artifact.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstddef>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <random>
+#include <memory>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GCLUS_ARTIFACT_HAS_FSYNC 1
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "common/faultpoint.hpp"
-#include "graph/io.hpp"
+#include "graph/container.hpp"
 #include "graph/wire.hpp"
 
 namespace gclus::server {
@@ -28,57 +18,17 @@ namespace {
 
 using namespace io::wire;
 
-namespace fs = std::filesystem;
-
 // Bytes "GCLUSORC" when stored little-endian.
 constexpr std::uint64_t kOrcMagic = 0x43524F53554C4347ULL;
 constexpr std::uint32_t kOrcVersion = 1;
 constexpr std::uint64_t kOrcHeaderBytes = 144;
-/// Header bytes under the checksum: everything before the checksum field.
+/// Header bytes under the checksum: everything before the checksum field,
+/// so a bit flip anywhere in the metadata is detected, not only in fields
+/// the parser can cross-check.
 constexpr std::uint64_t kOrcChecksumCoverBytes = 128;
-constexpr std::uint64_t kOrcAlign = 64;
-
-/// Byte positions of the seven payload sections.
-struct SectionLayout {
-  std::uint64_t labels_pos = 0;
-  std::uint64_t dist_pos = 0;
-  std::uint64_t centers_pos = 0;
-  std::uint64_t qoffsets_pos = 0;
-  std::uint64_t qneighbors_pos = 0;
-  std::uint64_t qweights_pos = 0;
-  std::uint64_t apsp_pos = 0;
-};
-
-SectionLayout layout_for(const OracleArtifactMeta& m) {
-  const std::uint64_t n = m.graph_num_nodes;
-  const std::uint64_t k = m.num_clusters;
-  const std::uint64_t qm = m.quotient_num_half_edges;
-  SectionLayout p;
-  p.labels_pos = align_up(kOrcHeaderBytes, kOrcAlign);
-  p.dist_pos = align_up(p.labels_pos + n * 4, kOrcAlign);
-  p.centers_pos = align_up(p.dist_pos + n * 4, kOrcAlign);
-  p.qoffsets_pos = align_up(p.centers_pos + k * 4, kOrcAlign);
-  p.qneighbors_pos = align_up(p.qoffsets_pos + (k + 1) * 8, kOrcAlign);
-  p.qweights_pos = align_up(p.qneighbors_pos + qm * 4, kOrcAlign);
-  p.apsp_pos = align_up(p.qweights_pos + qm * 8, kOrcAlign);
-  return p;
-}
-
-/// Continues an FNV-1a stream over the payload sections in file order.
-/// The full artifact checksum is fnv over header bytes [0, 128) — every
-/// metadata field, so a bit flip anywhere in the header is detected, not
-/// only in fields the parser can cross-check — followed by this.
-std::uint64_t payload_checksum(std::uint64_t h, const OracleArtifact& a) {
-  h = fnv1a_array_le(h, a.cluster_of.data(), a.cluster_of.size());
-  h = fnv1a_array_le(h, a.dist_to_center.data(), a.dist_to_center.size());
-  h = fnv1a_array_le(h, a.centers.data(), a.centers.size());
-  h = fnv1a_array_le(h, a.quotient_offsets.data(), a.quotient_offsets.size());
-  h = fnv1a_array_le(h, a.quotient_neighbors.data(),
-                     a.quotient_neighbors.size());
-  h = fnv1a_array_le(h, a.quotient_weights.data(), a.quotient_weights.size());
-  h = fnv1a_array_le(h, a.apsp.data(), a.apsp.size());
-  return h;
-}
+/// Header offset of the first of the seven section positions.
+constexpr std::uint64_t kOrcPositionsAt = 72;
+constexpr std::size_t kOrcSections = 7;
 
 /// The payload vectors an owned (built or copy-loaded) artifact views.
 struct OwnedPayload {
@@ -107,43 +57,22 @@ OracleArtifact artifact_from_owned(OracleArtifactMeta meta,
   return a;
 }
 
-/// Distinct per process and per call, so concurrent builders never collide
-/// on the temp file they publish from (the dataset-cache discipline).
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  static const std::uint64_t salt = std::random_device{}();
-  return std::to_string(salt) + "-" + std::to_string(counter.fetch_add(1));
-}
-
-/// fsyncs one path (a file, or with `directory` its parent directory
-/// entry).  On platforms without fsync this is a no-op success — the
-/// publish is still atomic, just not crash-durable.
-bool sync_path(const std::string& path, bool directory) {
-#ifdef GCLUS_ARTIFACT_HAS_FSYNC
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY : O_WRONLY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-#else
-  (void)path;
-  (void)directory;
-  return true;
-#endif
-}
-
 /// Serializes `a` to `path` in one pass (no atomicity — the caller
 /// publishes the temp file this writes).
 Status write_artifact_bytes(const OracleArtifact& a, const std::string& path) {
   const OracleArtifactMeta& m = a.meta;
-  const SectionLayout p = layout_for(m);
+  const io::Section sections[kOrcSections] = {
+      io::Section::of(a.cluster_of),       io::Section::of(a.dist_to_center),
+      io::Section::of(a.centers),          io::Section::of(a.quotient_offsets),
+      io::Section::of(a.quotient_neighbors),
+      io::Section::of(a.quotient_weights), io::Section::of(a.apsp)};
+  const auto pos = io::place_sections(kOrcHeaderBytes, sections);
 
-  // Assemble the header in memory: the checksum covers its first 128
-  // bytes, so they must exist before the checksum can be computed.
+  // The checksum covers the header's first 128 bytes, so they are
+  // assembled before it is computed.
   std::array<std::byte, kOrcHeaderBytes> header{};
   store_le_at(header.data() + 0, kOrcMagic);
   store_le_at(header.data() + 8, kOrcVersion);
-  store_le_at(header.data() + 12, std::uint32_t{0});  // flags
   store_le_at(header.data() + 16, m.graph_num_nodes);
   store_le_at(header.data() + 24, m.graph_num_half_edges);
   store_le_at(header.data() + 32, m.num_clusters);
@@ -152,59 +81,26 @@ Status write_artifact_bytes(const OracleArtifact& a, const std::string& path) {
   store_le_at(header.data() + 56, m.tau);
   store_le_at(header.data() + 60, std::uint32_t{m.use_cluster2 ? 1u : 0u});
   store_le_at(header.data() + 64, m.max_radius);
-  store_le_at(header.data() + 68, std::uint32_t{0});  // padding
-  store_le_at(header.data() + 72, p.labels_pos);
-  store_le_at(header.data() + 80, p.dist_pos);
-  store_le_at(header.data() + 88, p.centers_pos);
-  store_le_at(header.data() + 96, p.qoffsets_pos);
-  store_le_at(header.data() + 104, p.qneighbors_pos);
-  store_le_at(header.data() + 112, p.qweights_pos);
-  store_le_at(header.data() + 120, p.apsp_pos);
-  const std::uint64_t checksum = payload_checksum(
-      fnv1a(kFnvOffsetBasis, header.data(), kOrcChecksumCoverBytes), a);
-  store_le_at(header.data() + 128, checksum);
-  store_le_at(header.data() + 136, std::uint64_t{0});  // reserved
-
-  std::ofstream out(path, std::ios::binary);
-  if (GCLUS_FAULTPOINT("artifact.write") || !out.good()) {
-    return IoError("cannot open artifact for writing: " + path);
+  for (std::size_t i = 0; i < kOrcSections; ++i) {
+    store_le_at(header.data() + kOrcPositionsAt + 8 * i, pos[i]);
   }
-  out.write(reinterpret_cast<const char*>(header.data()), header.size());
-
-  std::uint64_t pos = kOrcHeaderBytes;
-  const auto section = [&](std::uint64_t target, const auto* data,
-                           std::uint64_t count) {
-    write_zeros(out, target - pos);
-    write_array_le(out, data, count);
-    pos = target + count * sizeof(*data);
-  };
-  section(p.labels_pos, a.cluster_of.data(), a.cluster_of.size());
-  section(p.dist_pos, a.dist_to_center.data(), a.dist_to_center.size());
-  section(p.centers_pos, a.centers.data(), a.centers.size());
-  section(p.qoffsets_pos, a.quotient_offsets.data(),
-          a.quotient_offsets.size());
-  section(p.qneighbors_pos, a.quotient_neighbors.data(),
-          a.quotient_neighbors.size());
-  section(p.qweights_pos, a.quotient_weights.data(),
-          a.quotient_weights.size());
-  section(p.apsp_pos, a.apsp.data(), a.apsp.size());
-  if (!out.good()) {
-    return IoError("artifact write failed (disk full or I/O error): " + path);
-  }
-  return OkStatus();
+  store_le_at(header.data() + kOrcChecksumCoverBytes,
+              io::container_checksum(
+                  std::span(header).first(kOrcChecksumCoverBytes), sections));
+  return io::write_container(path, header, sections, "artifact.write");
 }
 
-/// Parses and bounds-checks the header against the buffer size.
+/// Parses and bounds-checks the header against the file size.
 /// kInvalidArgument: the bytes don't claim to be a supported artifact;
-/// kDataLoss: they do, but the structure is inconsistent.  Bounds are
-/// overflow-safe: divide before multiply, and every section-end position
-/// is only computed after its element count was bounded by the file size.
-Status parse_header(const std::byte* data, std::uint64_t size,
-                    OracleArtifactMeta& m, SectionLayout& p) {
-  if (size < 8 || read_le_at<std::uint64_t>(data) != kOrcMagic) {
+/// kDataLoss: they do, but the structure is inconsistent.  `refs` gets
+/// the seven payload sections in file order.
+Status parse_header(std::span<const std::byte> file, OracleArtifactMeta& m,
+                    std::array<io::SectionRef, kOrcSections>& refs) {
+  const std::byte* data = file.data();
+  if (file.size() < 8 || read_le_at<std::uint64_t>(data) != kOrcMagic) {
     return InvalidArgumentError("not a gclus oracle artifact (bad magic)");
   }
-  if (size < kOrcHeaderBytes) {
+  if (file.size() < kOrcHeaderBytes) {
     return DataLossError("file shorter than an artifact header");
   }
   if (read_le_at<std::uint32_t>(data + 8) != kOrcVersion) {
@@ -226,13 +122,6 @@ Status parse_header(const std::byte* data, std::uint64_t size,
   if (read_le_at<std::uint32_t>(data + 68) != 0) {
     return InvalidArgumentError("nonzero artifact header padding");
   }
-  p.labels_pos = read_le_at<std::uint64_t>(data + 72);
-  p.dist_pos = read_le_at<std::uint64_t>(data + 80);
-  p.centers_pos = read_le_at<std::uint64_t>(data + 88);
-  p.qoffsets_pos = read_le_at<std::uint64_t>(data + 96);
-  p.qneighbors_pos = read_le_at<std::uint64_t>(data + 104);
-  p.qweights_pos = read_le_at<std::uint64_t>(data + 112);
-  p.apsp_pos = read_le_at<std::uint64_t>(data + 120);
   if (read_le_at<std::uint64_t>(data + 136) != 0) {
     return InvalidArgumentError("nonzero reserved artifact header field");
   }
@@ -255,21 +144,13 @@ Status parse_header(const std::byte* data, std::uint64_t size,
   const std::uint64_t n = m.graph_num_nodes;
   const std::uint64_t k = m.num_clusters;
   const std::uint64_t qm = m.quotient_num_half_edges;
-  const auto section_ok = [size](std::uint64_t pos, std::uint64_t prev_end,
-                                 std::uint64_t count, std::uint64_t width) {
-    return pos >= prev_end && pos % kOrcAlign == 0 && pos <= size &&
-           count <= (size - pos) / width;
-  };
-  if (!section_ok(p.labels_pos, kOrcHeaderBytes, n, 4) ||
-      !section_ok(p.dist_pos, p.labels_pos + n * 4, n, 4) ||
-      !section_ok(p.centers_pos, p.dist_pos + n * 4, k, 4) ||
-      !section_ok(p.qoffsets_pos, p.centers_pos + k * 4, k + 1, 8) ||
-      !section_ok(p.qneighbors_pos, p.qoffsets_pos + (k + 1) * 8, qm, 4) ||
-      !section_ok(p.qweights_pos, p.qneighbors_pos + qm * 4, qm, 8) ||
-      !section_ok(p.apsp_pos, p.qweights_pos + qm * 8, k * k, 8)) {
-    return DataLossError("truncated artifact (section out of bounds)");
+  const std::uint64_t counts[kOrcSections] = {n, n, k, k + 1, qm, qm, k * k};
+  const std::uint32_t widths[kOrcSections] = {4, 4, 4, 8, 4, 8, 8};
+  for (std::size_t i = 0; i < kOrcSections; ++i) {
+    refs[i] = {read_le_at<std::uint64_t>(data + kOrcPositionsAt + 8 * i),
+               counts[i], widths[i]};
   }
-  return OkStatus();
+  return io::check_sections(file.size(), kOrcHeaderBytes, refs, "artifact");
 }
 
 /// Structural validation of the decoded sections: every index a query
@@ -351,39 +232,10 @@ StatusOr<OracleArtifact> build_oracle_artifact(
 
 Status write_oracle_artifact(const OracleArtifact& a,
                              const std::string& path) {
-  const fs::path target(path);
-  const std::string dir = target.has_parent_path()
-                              ? target.parent_path().string()
-                              : std::string(".");
-  const std::string tmp = path + ".tmp." + unique_tmp_suffix();
-  std::error_code ec;
-
-  const Status written = write_artifact_bytes(a, tmp);
-  if (!written.ok()) {
-    fs::remove(tmp, ec);  // best effort; a failed write may leave debris
-    return written;
-  }
-  // Crash-consistent publish: fsync the temp file, rename it over `path`,
-  // fsync the directory so the rename itself survives a crash.  A reader
-  // can then never observe a torn artifact: before the rename it sees the
-  // old inode (or nothing), after it a fully durable new one.
-  if (GCLUS_FAULTPOINT("artifact.publish") ||
-      !sync_path(tmp, /*directory=*/false)) {
-    fs::remove(tmp, ec);
-    return IoError("cannot fsync artifact temp file: " + tmp);
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ec2;
-    fs::remove(tmp, ec2);
-    return IoError("cannot publish artifact " + path + ": " + ec.message());
-  }
-  if (!sync_path(dir, /*directory=*/true)) {
-    // The rename landed (readers see a complete artifact); only crash
-    // durability of the directory entry is in doubt.
-    return IoError("cannot fsync artifact directory: " + dir);
-  }
-  return OkStatus();
+  return io::publish_file(
+      path,
+      [&](const std::string& tmp) { return write_artifact_bytes(a, tmp); },
+      "artifact.publish");
 }
 
 StatusOr<OracleArtifact> load_oracle_artifact(const std::string& path,
@@ -393,74 +245,34 @@ StatusOr<OracleArtifact> load_oracle_artifact(const std::string& path,
   if (GCLUS_FAULTPOINT("artifact.load")) {
     return DataLossError(path + ": injected corrupt artifact");
   }
-  // mmap zero-copy requires a little-endian host (the sections are used
-  // in place); BE hosts decode through the copy path.
-  io::FileContents fc;
+  // Only a little-endian host uses a mapping in place; others decode.
   GCLUS_ASSIGN_OR_RETURN(
-      fc, io::read_or_map_file(path, opts.prefer_mmap && kLittleEndian));
-  const std::byte* data = fc.bytes.data();
-  const std::uint64_t size = fc.bytes.size();
-
-  OracleArtifactMeta meta;
-  SectionLayout p;
-  GCLUS_RETURN_IF_ERROR(parse_header(data, size, meta, p).with_context(path));
-  const std::uint64_t n = meta.graph_num_nodes;
-  const std::uint64_t k = meta.num_clusters;
-  const std::uint64_t qm = meta.quotient_num_half_edges;
-
-  if (opts.verify) {
-    std::uint64_t sum =
-        fnv1a(kFnvOffsetBasis, data, kOrcChecksumCoverBytes);
-    sum = fnv1a(sum, data + p.labels_pos, static_cast<std::size_t>(n) * 4);
-    sum = fnv1a(sum, data + p.dist_pos, static_cast<std::size_t>(n) * 4);
-    sum = fnv1a(sum, data + p.centers_pos, static_cast<std::size_t>(k) * 4);
-    sum = fnv1a(sum, data + p.qoffsets_pos,
-                static_cast<std::size_t>(k + 1) * 8);
-    sum = fnv1a(sum, data + p.qneighbors_pos,
-                static_cast<std::size_t>(qm) * 4);
-    sum = fnv1a(sum, data + p.qweights_pos, static_cast<std::size_t>(qm) * 8);
-    sum = fnv1a(sum, data + p.apsp_pos, static_cast<std::size_t>(k * k) * 8);
-    if (sum != read_le_at<std::uint64_t>(data + 128)) {
-      return DataLossError(path + ": artifact checksum mismatch");
-    }
-  }
+      const io::FileContents fc,
+      io::read_or_map_file(path, opts.prefer_mmap && kLittleEndian));
 
   OracleArtifact a;
-  a.meta = meta;
-  if (fc.mapped) {
-    a.cluster_of = {reinterpret_cast<const ClusterId*>(data + p.labels_pos),
-                    static_cast<std::size_t>(n)};
-    a.dist_to_center = {reinterpret_cast<const Dist*>(data + p.dist_pos),
-                        static_cast<std::size_t>(n)};
-    a.centers = {reinterpret_cast<const NodeId*>(data + p.centers_pos),
-                 static_cast<std::size_t>(k)};
-    a.quotient_offsets = {
-        reinterpret_cast<const EdgeId*>(data + p.qoffsets_pos),
-        static_cast<std::size_t>(k + 1)};
-    a.quotient_neighbors = {
-        reinterpret_cast<const ClusterId*>(data + p.qneighbors_pos),
-        static_cast<std::size_t>(qm)};
-    a.quotient_weights = {
-        reinterpret_cast<const Weight*>(data + p.qweights_pos),
-        static_cast<std::size_t>(qm)};
-    a.apsp = {reinterpret_cast<const Weight*>(data + p.apsp_pos),
-              static_cast<std::size_t>(k * k)};
-    a.mapped = true;
-    a.storage = std::move(fc.keepalive);
-  } else {
-    auto owned = std::make_shared<OwnedPayload>();
-    owned->cluster_of = decode_array_le<ClusterId>(data + p.labels_pos, n);
-    owned->dist_to_center = decode_array_le<Dist>(data + p.dist_pos, n);
-    owned->centers = decode_array_le<NodeId>(data + p.centers_pos, k);
-    owned->quotient_offsets =
-        decode_array_le<EdgeId>(data + p.qoffsets_pos, k + 1);
-    owned->quotient_neighbors =
-        decode_array_le<ClusterId>(data + p.qneighbors_pos, qm);
-    owned->quotient_weights =
-        decode_array_le<Weight>(data + p.qweights_pos, qm);
-    owned->apsp = decode_array_le<Weight>(data + p.apsp_pos, k * k);
-    a = artifact_from_owned(meta, std::move(owned));
+  std::array<io::SectionRef, kOrcSections> refs;
+  GCLUS_RETURN_IF_ERROR(
+      parse_header(fc.bytes, a.meta, refs).with_context(path));
+  if (opts.verify &&
+      io::container_checksum(fc, kOrcChecksumCoverBytes, refs) !=
+          read_le_at<std::uint64_t>(fc.bytes.data() + kOrcChecksumCoverBytes)) {
+    return DataLossError(path + ": artifact checksum mismatch");
   }
+
+  auto owned = std::make_shared<OwnedPayload>();
+  const auto view = [&](std::size_t i, auto& vec) {
+    return io::view(fc, refs[i].pos, refs[i].count, vec);
+  };
+  a.cluster_of = view(0, owned->cluster_of);
+  a.dist_to_center = view(1, owned->dist_to_center);
+  a.centers = view(2, owned->centers);
+  a.quotient_offsets = view(3, owned->quotient_offsets);
+  a.quotient_neighbors = view(4, owned->quotient_neighbors);
+  a.quotient_weights = view(5, owned->quotient_weights);
+  a.apsp = view(6, owned->apsp);
+  a.mapped = fc.mapped;
+  a.storage = fc.mapped ? fc.keepalive : std::shared_ptr<const void>(owned);
 
   if (opts.verify) {
     GCLUS_RETURN_IF_ERROR(validate_artifact_arrays(a).with_context(path));

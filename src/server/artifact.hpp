@@ -9,8 +9,9 @@
 // decomposition, and serves byte-identical answers because the payload is
 // the oracle's exact state.
 //
-// On-disk layout, CSR v2 dialect (all integers little-endian, sections
-// 64-byte aligned, FNV-1a payload checksum — see graph/wire.hpp):
+// On-disk layout: a header over the shared binary container
+// (graph/container.hpp: aligned sections, little-endian integers,
+// checksum, bounds rule).  Header fields:
 //
 //   offset  size  field
 //   0       8     magic "GCLUSORC"
@@ -32,19 +33,18 @@
 //   104     8     qneighbors_pos  → qm × u32 (quotient CSR neighbors)
 //   112     8     qweights_pos    → qm × u64 (quotient CSR edge weights)
 //   120     8     apsp_pos        → k·k × u64 (row-major APSP matrix)
-//   128     8     checksum (FNV-1a 64 over header bytes [0, 128) followed
-//                 by the payload sections in order — every metadata field
-//                 is integrity-protected, not only the bulk arrays)
+//   128     8     checksum (covers header bytes [0, 128), so every
+//                 metadata field is integrity-protected, not only the
+//                 bulk arrays)
 //   136     8     reserved (must be 0)
 //
 // Error handling follows graph/io.hpp: kInvalidArgument means the bytes
 // don't claim to be a supported artifact, kDataLoss means they do but are
 // truncated / checksum-mismatched / structurally corrupt, kIoError means
-// the environment failed.  Writing publishes atomically (private temp
-// file, fsync, rename, directory fsync — the dataset-cache discipline),
-// so readers never observe a torn artifact.  Fault points:
+// the environment failed.  Writing goes through the container's atomic
+// publish, so readers never observe a torn artifact.  Fault points:
 // "artifact.write", "artifact.publish", "artifact.load", plus the io.*
-// points under the shared file mapping path.
+// points under the container's read path.
 #pragma once
 
 #include <cstdint>

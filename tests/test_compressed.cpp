@@ -153,7 +153,7 @@ TEST(Compressed, CorpusRoundTripsThroughFileAndDecompress) {
       EXPECT_TRUE(validate_compressed_structure(cz, pool).ok()) << name;
       EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g)) << name;
 
-      io::write_csr_file(cz, f.path);
+      ASSERT_TRUE(io::write_csr(cz, f.path).ok());
       const auto loaded = io::load_compressed_csr(f.path);
       ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().message();
       EXPECT_EQ(loaded.value().relabeled(), cz.relabeled()) << name;
@@ -185,7 +185,7 @@ TEST(Compressed, ZeroDegreeRunsRoundTrip) {
     EXPECT_TRUE(validate_compressed_structure(cz, pool).ok());
     EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g));
 
-    io::write_csr_file(cz, f.path);
+    ASSERT_TRUE(io::write_csr(cz, f.path).ok());
     const auto loaded = io::load_compressed_csr(f.path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
     EXPECT_TRUE(testutil::same_csr(loaded.value().decompress(pool), g));
@@ -212,7 +212,7 @@ TEST(Compressed, MaxGapDeltasUseEscapeAndRoundTrip) {
     EXPECT_TRUE(validate_compressed_structure(cz, pool).ok());
     EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g));
 
-    io::write_csr_file(cz, f.path);
+    ASSERT_TRUE(io::write_csr(cz, f.path).ok());
     const auto loaded = io::load_compressed_csr(f.path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
     EXPECT_TRUE(testutil::same_csr(loaded.value().decompress(pool), g));
@@ -246,7 +246,7 @@ TEST(CompressedCorruption, EveryBitFlipComesBackAsStatus) {
   TempFile f("gclus_cz_bitflip.csr2");
   const Graph g = gen::grid(12, 12);
   const CompressedGraph cz = compress(g, {.relabel = RelabelMode::kAlways});
-  io::write_csr_file(cz, f.path);
+  ASSERT_TRUE(io::write_csr(cz, f.path).ok());
   const auto size = std::filesystem::file_size(f.path);
 
   std::fstream patch(f.path, std::ios::binary | std::ios::in | std::ios::out);
@@ -292,14 +292,14 @@ TEST(CompressedCorruption, TruncationMidBitstreamIsDataLoss) {
   TempFile f("gclus_cz_trunc.csr2");
   const Graph g = gen::ring_of_cliques(12, 8);
   const CompressedGraph cz = compress(g);
-  io::write_csr_file(cz, f.path);
+  ASSERT_TRUE(io::write_csr(cz, f.path).ok());
   const auto full = std::filesystem::file_size(f.path);
 
   // Cut points from "almost whole" down into the middle of the adjacency
   // bitstream — including ones that end inside a vertex's code word.
   for (const std::uint64_t keep :
        {full - 1, full - 7, full * 7 / 8, full * 3 / 4, full / 2}) {
-    io::write_csr_file(cz, f.path);
+    ASSERT_TRUE(io::write_csr(cz, f.path).ok());
     std::filesystem::resize_file(f.path, keep);
     const auto loaded = io::load_compressed_csr(f.path);
     ASSERT_FALSE(loaded.ok()) << "kept " << keep << " of " << full;
@@ -310,7 +310,7 @@ TEST(CompressedCorruption, TruncationMidBitstreamIsDataLoss) {
 
 TEST(CompressedCorruption, PlainAndWeightedFilesAreInvalidArgument) {
   TempFile f("gclus_cz_family.csr2");
-  io::write_csr_file(gen::grid(6, 6), f.path);
+  ASSERT_TRUE(io::write_csr(gen::grid(6, 6), f.path).ok());
   const auto plain = io::load_compressed_csr(f.path);
   ASSERT_FALSE(plain.ok());
   EXPECT_EQ(plain.status().code(), StatusCode::kInvalidArgument);

@@ -1,10 +1,9 @@
 // Tests for graph serialization and ingestion: edge-list text parsing
 // (serial reference and the parallel parser, including SNAP-style
-// comments, sparse ids, and junk lines), the legacy v1 binary round trip
-// with header validation, and the CSR v2 format — text↔CSRv2↔mmap round
-// trips over the whole corpus (weighted and unweighted), checksum and
-// truncation rejection, and owning-vs-mmap byte equality through the
-// algorithm registry.
+// comments, sparse ids, and junk lines) and the CSR v2 format —
+// text↔CSRv2↔mmap round trips over the whole corpus (weighted and
+// unweighted), checksum and truncation rejection as a Status, and
+// owning-vs-mmap byte equality through the algorithm registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +18,7 @@
 
 #include "api/registry.hpp"
 #include "api/run_context.hpp"
+#include "graph/container.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/weighted.hpp"
@@ -38,6 +38,31 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };
+
+/// Success when `st` failed with a message containing `what`.
+::testing::AssertionResult FailsWith(const Status& st, std::string_view what) {
+  if (st.ok()) {
+    return ::testing::AssertionFailure() << "succeeded; expected \"" << what
+                                         << "\"";
+  }
+  if (st.message().find(what) == std::string::npos) {
+    return ::testing::AssertionFailure() << st.to_string();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <typename T>
+::testing::AssertionResult FailsWith(const StatusOr<T>& r,
+                                     std::string_view what) {
+  return FailsWith(r.ok() ? OkStatus() : r.status(), what);
+}
+
+/// Unwraps a load the test expects to succeed.
+template <typename T>
+T must(StatusOr<T> r) {
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  return std::move(r).value();
+}
 
 Graph serial_parse(const std::string& text) {
   std::istringstream in(text);
@@ -209,70 +234,17 @@ TEST(ParallelParser, FileEntryPointUsesGlobalPool) {
   TempFile f("gclus_io_parse.txt");
   const Graph g = gen::ring_of_cliques(12, 8);
   write_edge_list_file(g, f.path);
-  const Graph h = read_edge_list_file(f.path);
+  const Graph h = must(load_edge_list(f.path));
   std::stringstream buf;
   write_edge_list(g, buf);
   EXPECT_TRUE(testutil::same_csr(serial_parse(buf.str()), h));
   EXPECT_EQ(h.num_edges(), g.num_edges());
 }
 
-// ---- CSR v1 binary (legacy) -------------------------------------------------
-
-TEST(BinaryRoundTrip, BitExact) {
-  const Graph g = gen::rmat(256, 1024, 5);
-  TempFile f("gclus_io_test.bin");
-  write_binary_file(g, f.path);
-  const Graph h = read_binary_file(f.path);
-  EXPECT_TRUE(testutil::same_csr(g, h));
-}
-
-TEST(BinaryRoundTrip, EmptyGraph) {
-  const Graph g = build_graph(5, {});
-  TempFile f("gclus_io_empty.bin");
-  write_binary_file(g, f.path);
-  const Graph h = read_binary_file(f.path);
-  EXPECT_EQ(h.num_nodes(), 5u);
-  EXPECT_EQ(h.num_edges(), 0u);
-}
-
-TEST(BinaryReadDeathTest, RejectsGarbageMagic) {
-  TempFile f("gclus_io_bad.bin");
-  {
-    std::ofstream out(f.path, std::ios::binary);
-    out << "this is not a graph";
-  }
-  EXPECT_DEATH((void)read_binary_file(f.path), "not a gclus binary");
-}
-
-TEST(BinaryReadDeathTest, RejectsTruncatedFile) {
-  const Graph g = gen::grid(6, 6);
-  TempFile f("gclus_io_trunc.bin");
-  write_binary_file(g, f.path);
-  const auto full = std::filesystem::file_size(f.path);
-  std::filesystem::resize_file(f.path, full - 9);
-  EXPECT_DEATH((void)read_binary_file(f.path), "truncated gclus binary");
-}
-
-TEST(BinaryReadDeathTest, RejectsHeaderLargerThanFile) {
-  // A header claiming more payload than the file holds must be rejected
-  // before any allocation — this is the old UB path (reading garbage into
-  // the CSR arrays).
-  TempFile f("gclus_io_lying_header.bin");
-  {
-    const Graph g = gen::grid(4, 4);
-    write_binary_file(g, f.path);
-    std::fstream patch(f.path,
-                       std::ios::binary | std::ios::in | std::ios::out);
-    patch.seekp(8);  // n field
-    const std::uint64_t huge_n = 1u << 20;
-    patch.write(reinterpret_cast<const char*>(&huge_n), sizeof huge_n);
-  }
-  EXPECT_DEATH((void)read_binary_file(f.path), "truncated gclus binary");
-}
-
-TEST(FileIoDeathTest, MissingFileAborts) {
-  EXPECT_DEATH((void)read_edge_list_file("/nonexistent/gclus/file.txt"),
-               "cannot open");
+TEST(FileIoStatus, MissingFileIsIoError) {
+  const auto missing = load_edge_list("/nonexistent/gclus/file.txt");
+  EXPECT_TRUE(FailsWith(missing, "cannot open"));
+  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
 }
 
 // ---- CSR v2 -----------------------------------------------------------------
@@ -280,7 +252,7 @@ TEST(FileIoDeathTest, MissingFileAborts) {
 TEST(Csr2, CorpusRoundTripCopyAndMmap) {
   TempFile f("gclus_io_corpus.csr2");
   for (const auto& [name, g] : testutil::small_connected_corpus()) {
-    write_csr_file(g, f.path);
+    ASSERT_TRUE(write_csr(g, f.path).ok()) << name;
     EXPECT_TRUE(is_csr_file(f.path)) << name;
 
     const auto info = probe_csr_file(f.path);
@@ -290,14 +262,13 @@ TEST(Csr2, CorpusRoundTripCopyAndMmap) {
     EXPECT_EQ(info->num_nodes, g.num_nodes());
     EXPECT_EQ(info->num_half_edges, g.num_half_edges());
 
-    const Graph copy =
-        load_csr_file(f.path, {.mode = CsrLoadMode::kCopy});
+    const Graph copy = must(load_csr(f.path, {.mode = CsrLoadMode::kCopy}));
     EXPECT_TRUE(copy.owns_storage());
     EXPECT_TRUE(testutil::same_csr(g, copy)) << name;
 
     if (mmap_supported()) {
       const Graph mapped =
-          load_csr_file(f.path, {.mode = CsrLoadMode::kMmap});
+          must(load_csr(f.path, {.mode = CsrLoadMode::kMmap}));
       EXPECT_FALSE(mapped.owns_storage());
       EXPECT_TRUE(testutil::same_csr(g, mapped)) << name;
     }
@@ -311,9 +282,9 @@ TEST(Csr2, TextToCsr2ToMmapPipeline) {
   TempFile bin("gclus_io_pipe.csr2");
   const Graph g = gen::expander_with_path(2000, 44, 4, 9);
   write_edge_list_file(g, txt.path);
-  const Graph parsed = read_edge_list_file(txt.path);
-  write_csr_file(parsed, bin.path);
-  const Graph loaded = load_csr_file(bin.path);
+  const Graph parsed = must(load_edge_list(txt.path));
+  ASSERT_TRUE(write_csr(parsed, bin.path).ok());
+  const Graph loaded = must(load_csr(bin.path));
   EXPECT_TRUE(testutil::same_csr(parsed, loaded));
   EXPECT_EQ(loaded.num_nodes(), g.num_nodes());
   EXPECT_EQ(loaded.num_edges(), g.num_edges());
@@ -323,8 +294,8 @@ TEST(Csr2, TextToCsr2ToMmapPipeline) {
 TEST(Csr2, EmptyAndEdgelessGraphs) {
   TempFile f("gclus_io_edgeless.csr2");
   const Graph g = build_graph(5, {});
-  write_csr_file(g, f.path);
-  const Graph h = load_csr_file(f.path);
+  ASSERT_TRUE(write_csr(g, f.path).ok());
+  const Graph h = must(load_csr(f.path));
   EXPECT_EQ(h.num_nodes(), 5u);
   EXPECT_EQ(h.num_edges(), 0u);
 
@@ -332,22 +303,21 @@ TEST(Csr2, EmptyAndEdgelessGraphs) {
   // empty, but the format family is not inferred from a null data
   // pointer).
   const WeightedGraph w = WeightedGraph::from_edges(5, {});
-  write_csr_file(w, f.path);
+  ASSERT_TRUE(write_csr(w, f.path).ok());
   const auto info = probe_csr_file(f.path);
   ASSERT_TRUE(info.has_value());
   EXPECT_TRUE(info->weighted);
-  const WeightedGraph r = load_weighted_csr_file(f.path);
+  const WeightedGraph r = must(load_weighted_csr(f.path));
   EXPECT_EQ(r.num_nodes(), 5u);
   EXPECT_EQ(r.num_half_edges(), 0u);
 }
 
-TEST(Csr2, TryWriteIsNonAborting) {
-  EXPECT_FALSE(
-      try_write_csr_file(gen::cycle(4), "/nonexistent/gclus/dir/x.csr2"));
+TEST(Csr2, WriteFailureIsAStatus) {
+  EXPECT_FALSE(write_csr(gen::cycle(4), "/nonexistent/gclus/dir/x.csr2").ok());
   TempFile f("gclus_io_trywrite.csr2");
   const Graph g = gen::cycle(4);
-  ASSERT_TRUE(try_write_csr_file(g, f.path));
-  EXPECT_TRUE(testutil::same_csr(g, load_csr_file(f.path)));
+  ASSERT_TRUE(write_csr(g, f.path).ok());
+  EXPECT_TRUE(testutil::same_csr(g, must(load_csr(f.path))));
 }
 
 TEST(Csr2, WeightedCorpusRoundTrip) {
@@ -362,12 +332,12 @@ TEST(Csr2, WeightedCorpusRoundTrip) {
     }
     const WeightedGraph w = WeightedGraph::from_edges(g.num_nodes(), edges);
 
-    write_csr_file(w, f.path);
+    ASSERT_TRUE(write_csr(w, f.path).ok()) << name;
     const auto info = probe_csr_file(f.path);
     ASSERT_TRUE(info.has_value()) << name;
     EXPECT_TRUE(info->weighted);
 
-    const WeightedGraph r = load_weighted_csr_file(f.path);
+    const WeightedGraph r = must(load_weighted_csr(f.path));
     ASSERT_EQ(r.num_nodes(), w.num_nodes()) << name;
     ASSERT_EQ(r.num_half_edges(), w.num_half_edges()) << name;
     EXPECT_TRUE(std::ranges::equal(r.offsets(), w.offsets())) << name;
@@ -379,8 +349,8 @@ TEST(Csr2, MappedGraphSurvivesUnlink) {
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   TempFile f("gclus_io_unlink.csr2");
   const Graph g = gen::torus(20, 20);
-  write_csr_file(g, f.path);
-  const Graph mapped = load_csr_file(f.path, {.mode = CsrLoadMode::kMmap});
+  ASSERT_TRUE(write_csr(g, f.path).ok());
+  const Graph mapped = must(load_csr(f.path, {.mode = CsrLoadMode::kMmap}));
   std::remove(f.path.c_str());  // mapping pins the inode
   EXPECT_TRUE(testutil::same_csr(g, mapped));
   // Copies share the mapping rather than materializing.
@@ -389,10 +359,10 @@ TEST(Csr2, MappedGraphSurvivesUnlink) {
   EXPECT_TRUE(testutil::same_csr(g, copy));
 }
 
-TEST(Csr2DeathTest, RejectsChecksumMismatch) {
+TEST(Csr2Corrupt, RejectsChecksumMismatch) {
   TempFile f("gclus_io_checksum.csr2");
   const Graph g = gen::grid(8, 8);
-  write_csr_file(g, f.path);
+  ASSERT_TRUE(write_csr(g, f.path).ok());
   {
     // Flip one payload byte in the neighbors section (near the end).
     std::fstream patch(f.path,
@@ -402,60 +372,64 @@ TEST(Csr2DeathTest, RejectsChecksumMismatch) {
     patch.seekp(-1, std::ios::end);
     patch.write(&c, 1);
   }
-  EXPECT_DEATH((void)load_csr_file(f.path), "checksum mismatch");
-  EXPECT_FALSE(try_load_csr_file(f.path).has_value());
+  const auto loaded = load_csr(f.path);
+  EXPECT_TRUE(FailsWith(loaded, "checksum mismatch"));
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   // Opting out of verification loads the (corrupt) bytes — the caller's
   // explicit choice.
-  const Graph unchecked = load_csr_file(f.path, {.verify = false});
+  const Graph unchecked = must(load_csr(f.path, {.verify = false}));
   EXPECT_EQ(unchecked.num_nodes(), g.num_nodes());
 }
 
-TEST(Csr2DeathTest, RejectsTruncation) {
+TEST(Csr2Corrupt, RejectsTruncation) {
   TempFile f("gclus_io_truncated.csr2");
   const Graph g = gen::grid(8, 8);
-  write_csr_file(g, f.path);
+  ASSERT_TRUE(write_csr(g, f.path).ok());
   const auto full = std::filesystem::file_size(f.path);
   std::filesystem::resize_file(f.path, full - 16);
-  EXPECT_DEATH((void)load_csr_file(f.path), "truncated CSR v2");
-  EXPECT_FALSE(try_load_csr_file(f.path).has_value());
+  const auto loaded = load_csr(f.path);
+  EXPECT_TRUE(FailsWith(loaded, "truncated CSR v2"));
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(Csr2DeathTest, RejectsWrongFormatFamily) {
+TEST(Csr2Corrupt, RejectsWrongFormatFamily) {
   TempFile f("gclus_io_family.csr2");
-  const Graph g = gen::grid(5, 5);
-  write_binary_file(g, f.path);  // v1 file...
-  EXPECT_DEATH((void)load_csr_file(f.path), "bad magic");  // ...is not v2
+  {
+    // A foreign 24-byte header (magic, n, m) is not CSR v2.
+    std::ofstream out(f.path, std::ios::binary);
+    const std::uint64_t foreign[3] = {0x67636c7573763101ULL, 25, 80};
+    out.write(reinterpret_cast<const char*>(foreign), sizeof foreign);
+  }
+  const auto foreign = load_csr(f.path);
+  EXPECT_TRUE(FailsWith(foreign, "bad magic"));
+  EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(is_csr_file(f.path));
 
-  write_csr_file(g, f.path);  // v2 file...
-  EXPECT_DEATH((void)read_binary_file(f.path), "not a gclus binary");
-
   // Weighted/unweighted loaders are strict about the flag.
-  EXPECT_DEATH((void)load_weighted_csr_file(f.path), "unweighted CSR v2");
-  const WeightedGraph w = WeightedGraph::from_unit_weights(g);
-  write_csr_file(w, f.path);
-  EXPECT_DEATH((void)load_csr_file(f.path), "weighted CSR v2");
+  const Graph g = gen::grid(5, 5);
+  ASSERT_TRUE(write_csr(g, f.path).ok());
+  EXPECT_TRUE(FailsWith(load_weighted_csr(f.path), "unweighted CSR v2"));
+  ASSERT_TRUE(write_csr(WeightedGraph::from_unit_weights(g), f.path).ok());
+  EXPECT_TRUE(FailsWith(load_csr(f.path), "weighted CSR v2"));
 }
 
-TEST(Csr2, TryLoadIsNonAborting) {
-  EXPECT_FALSE(try_load_csr_file("/nonexistent/gclus/file.csr2").has_value());
+TEST(Csr2, LoadFailureIsAStatus) {
+  EXPECT_TRUE(FailsWith(load_csr("/nonexistent/gclus/file.csr2"),
+                        "cannot open"));
   TempFile f("gclus_io_tryload.csr2");
   {
     std::ofstream out(f.path, std::ios::binary);
     out << "garbage";
   }
-  EXPECT_FALSE(try_load_csr_file(f.path).has_value());
+  EXPECT_TRUE(FailsWith(load_csr(f.path), "bad magic"));
   const Graph g = gen::cycle(12);
-  write_csr_file(g, f.path);
-  const auto loaded = try_load_csr_file(f.path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(testutil::same_csr(g, *loaded));
+  ASSERT_TRUE(write_csr(g, f.path).ok());
+  EXPECT_TRUE(testutil::same_csr(g, must(load_csr(f.path))));
 }
 
 // ---- Status API -------------------------------------------------------------
 // The load_* / write_* Status entry points carry the failure taxonomy the
-// long-lived callers (dataset cache, CLI) dispatch on; the abort wrappers
-// above are thin shims over these.
+// long-lived callers (dataset cache, CLI) dispatch on.
 
 TEST(Csr2Status, CodesMatchFailureTaxonomy) {
   // Hard environment failure: the file does not exist.
@@ -530,8 +504,8 @@ TEST(Csr2Registry, OwningAndMappedGraphsDecomposeIdentically) {
   if (!mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
   TempFile f("gclus_io_registry.csr2");
   for (const auto& [name, g] : testutil::small_connected_corpus()) {
-    write_csr_file(g, f.path);
-    const Graph mapped = load_csr_file(f.path, {.mode = CsrLoadMode::kMmap});
+    ASSERT_TRUE(write_csr(g, f.path).ok()) << name;
+    const Graph mapped = must(load_csr(f.path, {.mode = CsrLoadMode::kMmap}));
     ASSERT_FALSE(mapped.owns_storage());
     for (const std::string& algo : registry().names()) {
       RunContext ctx_own, ctx_map;

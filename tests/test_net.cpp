@@ -110,6 +110,17 @@ struct Harness {
   }
 };
 
+/// Waits (up to a second) until the server counts `want` results sent.
+/// A client can read a full reply before the connection thread gets to
+/// its results_sent increment (the count lands after write_frame
+/// returns), so a test that asserts the count right after its last reply
+/// would race that increment.
+void await_results_sent(const NetServer& server, std::uint64_t want) {
+  for (int i = 0; i < 100 && server.stats().results_sent < want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 /// The payload (after the length prefix) of an encoded frame.
 std::vector<std::uint8_t> payload_of(std::vector<std::uint8_t> wire) {
   wire.erase(wire.begin(), wire.begin() + kLenPrefixSize);
@@ -351,12 +362,7 @@ TEST(NetServer, LoopbackAnswersMatchSerialExecution) {
     ASSERT_TRUE(got.ok()) << got.status().to_string();
     EXPECT_EQ(*got, run_serial(*h.engine, qs));
   }
-  // The client can read a full reply before the connection thread gets
-  // to its results_sent_ increment (the count lands after write_frame
-  // returns) — poll briefly instead of racing it.
-  for (int i = 0; i < 100 && h.nserver->stats().results_sent < 6; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  await_results_sent(*h.nserver, 6);
   const NetServerStats stats = h.nserver->stats();
   EXPECT_EQ(stats.frames_in, 6u);
   EXPECT_EQ(stats.results_sent, 6u);
@@ -390,6 +396,7 @@ TEST(NetServer, ConcurrentClientsEachGetByteIdenticalAnswers) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+  await_results_sent(*h.nserver, kClients * kBatches);
   EXPECT_EQ(h.nserver->stats().results_sent,
             static_cast<std::uint64_t>(kClients * kBatches));
 }

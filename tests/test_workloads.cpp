@@ -12,6 +12,7 @@
 #include <string>
 
 #include "graph/connectivity.hpp"
+#include "graph/container.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
 #include "test_util.hpp"
