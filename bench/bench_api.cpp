@@ -124,7 +124,7 @@ int main() {
           ctx.seed = kSeed;
           ctx.pool = &pool;
           ctx.workspace = ws;
-          return registry().run(algo, g, params, ctx).assignment;
+          return registry().try_run(algo, g, params, ctx).value().assignment;
         }};
   };
 

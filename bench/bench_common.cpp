@@ -255,7 +255,7 @@ std::string fmt_u(std::uint64_t v) { return std::to_string(v); }
 
 Clustering run_registry(const std::string& algo, const Graph& g,
                         const AlgoParams& params, RunContext ctx) {
-  return registry().run(algo, g, params, ctx);
+  return registry().try_run(algo, g, params, ctx).value();
 }
 
 std::uint32_t tau_for_target_clusters(const Graph& g, double target_clusters) {

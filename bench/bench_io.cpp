@@ -19,10 +19,7 @@
 //      smaller than plain CSR v2, the encoder is byte-identical at 1, 2,
 //      and 8 threads, a push-mode registry decomposition pays <= 25%
 //      decode overhead over plain CSR, and compressed-mode outputs are
-//      byte-identical to the plain run at every thread count.  The
-//      degree-descending relabeling's pull-mode locality win is measured
-//      on its own (plain graph vs physically relabeled plain graph), so
-//      the report separates layout gains from decode costs.
+//      byte-identical to the plain run at every thread count.
 //
 // Results go to stdout as paper-style tables and to BENCH_io.json
 // (override with GCLUS_BENCH_OUT).  Exits nonzero if any claim fails.
@@ -31,7 +28,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,7 +36,6 @@
 #include "api/run_context.hpp"
 #include "bench_common.hpp"
 #include "common/timer.hpp"
-#include "graph/bfs.hpp"
 #include "graph/compressed.hpp"
 #include "graph/container.hpp"
 #include "graph/generators.hpp"
@@ -59,13 +54,6 @@ constexpr double kMinParallelSpeedup = 4.0;
 constexpr double kMinMmapSpeedup = 10.0;
 constexpr double kMinCompressionRatio = 2.0;
 constexpr double kMaxDecodeOverhead = 0.25;
-
-// Skewed graph for the relabeling ablation: pull-mode locality only moves
-// when the degree distribution is heavy-tailed, so the 8-regular expander
-// (where degree order is the identity) cannot show it.
-constexpr NodeId kSkewNodes = 200000;
-constexpr NodeId kSkewAttach = 4;
-constexpr std::uint64_t kSkewSeed = 11;
 
 /// Exits with `st`'s error: a bench cannot go on without its files.
 void ok_or_exit(const Status& st) {
@@ -236,8 +224,10 @@ int main() {
     params.set("tau", std::uint64_t{16});
     RunContext ctx_own, ctx_map;
     ctx_own.seed = ctx_map.seed = 7;
-    const Clustering own = registry().run("cluster", g, params, ctx_own);
-    const Clustering map = registry().run("cluster", mapped, params, ctx_map);
+    const Clustering own =
+        registry().try_run("cluster", g, params, ctx_own).value();
+    const Clustering map =
+        registry().try_run("cluster", mapped, params, ctx_map).value();
     registry_identical = same_clustering(own, map);
     std::printf("registry cluster(16) owning vs mmap-backed: %s\n",
                 registry_identical ? "byte-identical" : "DIVERGED");
@@ -260,10 +250,7 @@ int main() {
                                 const CompressedGraph& b) {
     return std::ranges::equal(a.degrees_section(), b.degrees_section()) &&
            std::ranges::equal(a.anchors_section(), b.anchors_section()) &&
-           std::ranges::equal(a.locals_section(), b.locals_section()) &&
-           std::ranges::equal(a.adj_section(), b.adj_section()) &&
-           std::ranges::equal(a.perm_section(), b.perm_section()) &&
-           std::ranges::equal(a.inv_section(), b.inv_section());
+           std::ranges::equal(a.adj_section(), b.adj_section());
   };
   const bool encode_deterministic = same_sections(cz, compress(g, pool1)) &&
                                     same_sections(cz, compress(g, pool2));
@@ -305,7 +292,7 @@ int main() {
   };
   const Clustering push_ref = [&] {
     RunContext ctx = push_ctx(pool8);
-    return registry().run("cluster", g, cl_params, ctx);
+    return registry().try_run("cluster", g, cl_params, ctx).value();
   }();
   const auto expect_push_ref = [&](const Clustering& c) {
     if (!same_clustering(c, push_ref)) {
@@ -323,14 +310,16 @@ int main() {
     {
       RunContext ctx = push_ctx(pool8);
       Timer t;
-      const Clustering c = registry().run("cluster", g, cl_params, ctx);
+      const Clustering c =
+          registry().try_run("cluster", g, cl_params, ctx).value();
       plain_cluster_s = std::min(plain_cluster_s, t.elapsed_s());
       expect_push_ref(c);
     }
     {
       RunContext ctx = push_ctx(pool8);
       Timer t;
-      const Clustering c = registry().run("cluster", cz, cl_params, ctx);
+      const Clustering c =
+          registry().try_run("cluster", cz, cl_params, ctx).value();
       cz_cluster_s = std::min(cz_cluster_s, t.elapsed_s());
       expect_push_ref(c);
     }
@@ -345,9 +334,10 @@ int main() {
     RunContext ctx_cz, ctx_plain;
     ctx_cz.seed = ctx_plain.seed = 7;
     ctx_cz.pool = ctx_plain.pool = pool;
-    const Clustering from_cz = registry().run("cluster", cz, cl_params, ctx_cz);
+    const Clustering from_cz =
+        registry().try_run("cluster", cz, cl_params, ctx_cz).value();
     const Clustering from_plain =
-        registry().run("cluster", g, cl_params, ctx_plain);
+        registry().try_run("cluster", g, cl_params, ctx_plain).value();
     compressed_identical =
         compressed_identical && same_clustering(from_cz, from_plain);
   }
@@ -359,76 +349,6 @@ int main() {
   decode_table.print("Decode overhead, push-mode registry cluster @8t",
                      "target: <= 25% over plain CSR; outputs byte-identical "
                      "at 1/2/8 threads");
-
-  // --- relabeling alone: pull-mode locality on a skewed graph. ---
-  // Physically relabel a preferential-attachment graph into the same
-  // stable degree-descending order the compressed encoder uses, and time
-  // pinned-pull BFS on both plain graphs — no decoding anywhere, so the
-  // difference is purely the memory layout.
-  const Graph skew =
-      workloads::cached_graph("bench-io-pa-n" + std::to_string(kSkewNodes),
-                              [] {
-                                return gen::preferential_attachment(
-                                    kSkewNodes, kSkewAttach, kSkewSeed);
-                              });
-  const NodeId sn = skew.num_nodes();
-  std::vector<NodeId> order(sn);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return skew.degree(a) > skew.degree(b);
-  });
-  std::vector<NodeId> perm(sn);
-  for (NodeId s = 0; s < sn; ++s) perm[order[s]] = s;
-  std::vector<EdgeId> roffsets(sn + 1, 0);
-  for (NodeId s = 0; s < sn; ++s)
-    roffsets[s + 1] = roffsets[s] + skew.degree(order[s]);
-  std::vector<NodeId> rneighbors(skew.num_half_edges());
-  for (NodeId s = 0; s < sn; ++s) {
-    EdgeId at = roffsets[s];
-    for (const NodeId v : skew.neighbors(order[s])) rneighbors[at++] = perm[v];
-    std::sort(
-        rneighbors.begin() + static_cast<std::ptrdiff_t>(roffsets[s]),
-        rneighbors.begin() + static_cast<std::ptrdiff_t>(roffsets[s + 1]));
-  }
-  const Graph relabeled(std::move(roffsets), std::move(rneighbors));
-
-  GrowthOptions pull_only;
-  pull_only.mode = TraversalMode::kPullOnly;
-  const NodeId skew_src = 0;
-  const std::vector<Dist> pull_ref =
-      parallel_bfs(pool8, skew, skew_src, nullptr, pull_only);
-  const double pull_orig_s = best_of(
-      5,
-      [&] { return parallel_bfs(pool8, skew, skew_src, nullptr, pull_only); },
-      [&](const std::vector<Dist>& d) {
-        if (d != pull_ref) {
-          std::fprintf(stderr, "BENCH FAILED: pull BFS diverges\n");
-          std::exit(1);
-        }
-      });
-  const double pull_relab_s = best_of(
-      5,
-      [&] {
-        return parallel_bfs(pool8, relabeled, perm[skew_src], nullptr,
-                            pull_only);
-      },
-      [&](const std::vector<Dist>& d) {
-        for (NodeId u = 0; u < sn; ++u) {
-          if (d[perm[u]] != pull_ref[u]) {
-            std::fprintf(stderr, "BENCH FAILED: relabeled pull BFS diverges\n");
-            std::exit(1);
-          }
-        }
-      });
-  const double relabel_pull_speedup = pull_orig_s / pull_relab_s;
-
-  TablePrinter relab_table({"layout", "pull BFS wall_s", "speedup"});
-  relab_table.add_row({"original order", fmt(pull_orig_s, 4), "1.00"});
-  relab_table.add_row({"degree-descending", fmt(pull_relab_s, 4),
-                       fmt(relabel_pull_speedup, 2)});
-  relab_table.print(
-      "Relabeling alone, pinned-pull BFS on preferential attachment @8t",
-      "plain CSR both sides: isolates the layout win from decode cost");
 
   Json root = Json::object();
   root.set("bench", "io");
@@ -463,9 +383,6 @@ int main() {
   root.set("cz_cluster_push_s", cz_cluster_s);
   root.set("decode_overhead", decode_overhead);
   root.set("compressed_identical_1_2_8", compressed_identical);
-  root.set("relabel_pull_orig_s", pull_orig_s);
-  root.set("relabel_pull_relabeled_s", pull_relab_s);
-  root.set("relabel_pull_speedup", relabel_pull_speedup);
 
   const char* out_env = std::getenv("GCLUS_BENCH_OUT");
   const std::string out_path = out_env != nullptr ? out_env : "BENCH_io.json";

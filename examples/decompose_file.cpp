@@ -329,8 +329,10 @@ int main(int argc, char** argv) {
   RecordingTelemetry telemetry;
   ctx.telemetry = &telemetry;
 
-  const Clustering c = cg.has_value() ? registry().run(algo, *cg, params, ctx)
-                                      : registry().run(algo, g, params, ctx);
+  const Clustering c =
+      (cg.has_value() ? registry().try_run(algo, *cg, params, ctx)
+                      : registry().try_run(algo, g, params, ctx))
+          .value();
   std::printf("%s: %u clusters, max radius %u, %zu growth steps%s\n",
               algo.c_str(), c.num_clusters(), c.max_radius(), c.growth_steps,
               c.validate(g) ? "" : "  [VALIDATION FAILED]");

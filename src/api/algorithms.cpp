@@ -145,8 +145,7 @@ void register_weighted_cluster(Registry& r) {
            out.iterations = wc.iterations;
            finalize_cluster_stats(out);
            return out;
-         },
-         /*run_compressed=*/nullptr});
+         }});
 }
 
 template <class G>
@@ -195,8 +194,7 @@ void register_gonzalez(Registry& r) {
                g, read_k(g.num_nodes(), p, 8), p.get_u32("first", 0));
            ctx.emit("gonzalez.radius", static_cast<double>(res.radius));
            return clustering_from_centers(g, res.centers);
-         },
-         /*run_compressed=*/nullptr});
+         }});
 }
 
 void register_kcenter(Registry& r) {
@@ -217,8 +215,7 @@ void register_kcenter(Registry& r) {
                     static_cast<double>(res.raw_clusters));
            ctx.emit("kcenter.tau", static_cast<double>(res.tau));
            return clustering_from_centers(g, res.centers);
-         },
-         /*run_compressed=*/nullptr});
+         }});
 }
 
 // --- MR-emulated algorithms (mr.*): the same decompositions executed in
@@ -282,8 +279,7 @@ void add_mr(Registry& r, std::string name, std::string summary,
            Clustering c = body(engine, g, p, ctx);
            emit_mr_metrics(ctx, engine);
            return c;
-         },
-         /*run_compressed=*/nullptr});
+         }});
 }
 
 void register_mr_algorithms(Registry& r) {
@@ -356,8 +352,7 @@ void register_oracle(Registry& r) {
            o.use_cluster2 = p.get_bool("use_cluster2", true);
            return std::move(
                DistanceOracle::build_full(g, o).value().clustering);
-         },
-         /*run_compressed=*/nullptr});
+         }});
 }
 
 }  // namespace

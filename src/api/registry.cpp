@@ -113,20 +113,6 @@ std::vector<std::string> Registry::names() const {
   return out;
 }
 
-Clustering Registry::run(const std::string& name, const Graph& g,
-                         const AlgoParams& params, RunContext& ctx) const {
-  auto result = try_run(name, g, params, ctx);
-  GCLUS_CHECK(result.ok(), result.status().message());
-  return std::move(result).value();
-}
-
-Clustering Registry::run(const std::string& name, const CompressedGraph& g,
-                         const AlgoParams& params, RunContext& ctx) const {
-  auto result = try_run(name, g, params, ctx);
-  GCLUS_CHECK(result.ok(), result.status().message());
-  return std::move(result).value();
-}
-
 /// Selection checks shared by both try_run overloads: resolves the
 /// algorithm and rejects undeclared parameter keys.
 StatusOr<const AlgoInfo*> Registry::select(const std::string& name,
@@ -170,8 +156,8 @@ StatusOr<Clustering> Registry::try_run(const std::string& name,
                                        RunContext& ctx) const {
   GCLUS_ASSIGN_OR_RETURN(const AlgoInfo* info, select(name, params));
   if (info->run_compressed) return info->run_compressed(g, params, ctx);
-  // Neighbor-order-dependent algorithm: materialize the plain CSR and run
-  // the ordinary adapter, which is definitionally output-identical.
+  // Plain-CSR-only algorithm: materialize the plain CSR and run the
+  // ordinary adapter, which is definitionally output-identical.
   const Graph plain = g.decompress(ctx.pool_or_global());
   return info->run(plain, params, ctx);
 }

@@ -12,9 +12,10 @@
 // registry run is byte-identical to the corresponding direct call with the
 // same seed.
 //
-// Parameter handling is strict: Registry::run validates every supplied key
-// against the algorithm's schema and aborts on unknown keys or malformed
-// values — a typo'd "--tua=64" must not silently run with the default.
+// Parameter handling is strict: Registry::try_run validates every supplied
+// key against the algorithm's schema and rejects unknown keys, and the
+// adapters abort on malformed values — a typo'd "--tua=64" must not
+// silently run with the default.
 #pragma once
 
 #include <cstdint>
@@ -81,14 +82,13 @@ struct AlgoInfo {
   std::string summary;
   std::vector<ParamSpec> params;
   std::function<Clustering(const Graph&, const AlgoParams&, RunContext&)> run;
-  /// Native compressed-mode adapter, or null when the algorithm's
-  /// traversal is neighbor-order dependent (center-set Voronoi
-  /// propagation) — Registry::run on a CompressedGraph then decompresses
-  /// and runs the plain adapter, so every algorithm accepts either
-  /// representation with identical output.
+  /// Native compressed-mode adapter, or null when the algorithm is
+  /// instantiated for plain CSR only — Registry::try_run on a
+  /// CompressedGraph then decompresses and runs the plain adapter, so
+  /// every algorithm accepts either representation with identical output.
   std::function<Clustering(const CompressedGraph&, const AlgoParams&,
                            RunContext&)>
-      run_compressed;
+      run_compressed = nullptr;
 };
 
 class Registry {
@@ -103,28 +103,18 @@ class Registry {
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// Validates `params` against the schema of `name` and invokes its
-  /// adapter.  Aborts on unknown algorithm or unknown parameter keys.
-  Clustering run(const std::string& name, const Graph& g,
-                 const AlgoParams& params, RunContext& ctx) const;
-
-  /// Runs `name` on a compressed graph: natively when the algorithm
-  /// registered a compressed adapter, else by decompressing first.  The
-  /// result is identical to running on the equivalent plain Graph.
-  Clustering run(const std::string& name, const CompressedGraph& g,
-                 const AlgoParams& params, RunContext& ctx) const;
-
-  /// Like run(), but selection errors — unknown algorithm, undeclared
-  /// parameter key — come back as kInvalidArgument instead of aborting,
-  /// so a serving caller can reject one bad request and keep going.
-  /// (Malformed parameter *values* still abort inside the adapter; the
-  /// schema declares keys, not value grammars.)
+  /// adapter.  Selection errors — unknown algorithm, undeclared parameter
+  /// key — come back as kInvalidArgument, so a serving caller can reject
+  /// one bad request and keep going.  (Malformed parameter *values* abort
+  /// inside the adapter; the schema declares keys, not value grammars.)
   [[nodiscard]] StatusOr<Clustering> try_run(const std::string& name,
                                              const Graph& g,
                                              const AlgoParams& params,
                                              RunContext& ctx) const;
 
-  /// Compressed-graph counterpart of try_run; same fallback rule as the
-  /// compressed run().
+  /// Runs `name` on a compressed graph: natively when the algorithm
+  /// registered a compressed adapter, else by decompressing first.  The
+  /// result is identical to running on the equivalent plain Graph.
   [[nodiscard]] StatusOr<Clustering> try_run(const std::string& name,
                                              const CompressedGraph& g,
                                              const AlgoParams& params,

@@ -74,9 +74,9 @@ struct GrowthStats {
 /// The engine is generic over the graph representation `G` — plain CSR
 /// (Graph) or the Rice-coded CompressedGraph — through the shared accessor
 /// surface (num_nodes/num_half_edges/degree/neighbors).  Both claim
-/// directions reduce neighbors with commutative minima, so the decode
-/// order of a compressed (relabeled) adjacency list is immaterial and the
-/// final partition is byte-identical across representations.  Members are
+/// directions reduce neighbors with commutative minima, and both
+/// representations list neighbors in ascending id order, so the final
+/// partition is byte-identical across representations.  Members are
 /// defined in growth.cpp and explicitly instantiated for Graph and
 /// CompressedGraph; GrowthState below keeps every existing call site
 /// unchanged.

@@ -4,8 +4,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cstring>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -63,63 +61,6 @@ class BitWriter {
   unsigned pending_ = 0;
 };
 
-/// Degree-descending stable order (ties broken by ascending id): the
-/// storage order of RelabelMode::kAuto.
-std::vector<NodeId> degree_descending_order(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const std::size_t da = g.degree(a), db = g.degree(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  return order;
-}
-
-/// Adjacency re-expressed in storage ids: list s holds the sorted storage
-/// ids of the neighbors of original vertex inv[s].  Views the input arrays
-/// directly when the relabeling is the identity.
-struct StorageCsr {
-  std::span<const EdgeId> offsets;
-  std::span<const NodeId> neighbors;
-  std::vector<EdgeId> owned_offsets;
-  std::vector<NodeId> owned_neighbors;
-
-  [[nodiscard]] std::span<const NodeId> list(NodeId s) const {
-    return neighbors.subspan(static_cast<std::size_t>(offsets[s]),
-                             static_cast<std::size_t>(offsets[s + 1] -
-                                                      offsets[s]));
-  }
-};
-
-StorageCsr storage_csr(const Graph& g, ThreadPool& pool,
-                       std::span<const NodeId> perm,
-                       std::span<const NodeId> inv) {
-  StorageCsr t;
-  if (perm.empty()) {
-    t.offsets = g.offsets();
-    t.neighbors = g.neighbor_array();
-    return t;
-  }
-  const NodeId n = g.num_nodes();
-  t.owned_offsets.assign(n + 1, 0);
-  for (NodeId s = 0; s < n; ++s) {
-    t.owned_offsets[s + 1] = t.owned_offsets[s] + g.degree(inv[s]);
-  }
-  t.owned_neighbors.resize(static_cast<std::size_t>(t.owned_offsets[n]));
-  parallel_for(pool, 0, n, [&](std::size_t si) {
-    const auto s = static_cast<NodeId>(si);
-    NodeId* out = t.owned_neighbors.data() + t.owned_offsets[s];
-    std::size_t i = 0;
-    for (const NodeId v : g.neighbors(inv[s])) out[i++] = perm[v];
-    std::sort(out, out + i);
-  });
-  t.offsets = t.owned_offsets;
-  t.neighbors = t.owned_neighbors;
-  return t;
-}
-
 /// Bits vertex s's code occupies under the chosen parameters.
 std::uint64_t code_bits(std::span<const NodeId> list, NodeId s,
                         const CompressedParams& p) {
@@ -159,16 +100,16 @@ struct CostTotals {
   std::array<std::uint64_t, cz::kMaxK + 1> gaps{};
 };
 
-CostTotals cost_totals(const StorageCsr& t, NodeId n, ThreadPool& pool) {
+CostTotals cost_totals(const Graph& g, ThreadPool& pool) {
   std::array<std::atomic<std::uint64_t>, cz::kMaxK + 1> a_raw{}, a_zz{},
       a_gap{};
   parallel_for_chunks(
-      pool, 0, n,
+      pool, 0, g.num_nodes(),
       [&](std::size_t lo, std::size_t hi) {
         CostTotals local;
         for (std::size_t si = lo; si < hi; ++si) {
           const auto s = static_cast<NodeId>(si);
-          const auto list = t.list(s);
+          const auto list = g.neighbors(s);
           if (list.empty()) continue;
           const std::uint64_t raw = list[0];
           const std::uint64_t zz =
@@ -201,18 +142,8 @@ CostTotals cost_totals(const StorageCsr& t, NodeId n, ThreadPool& pool) {
   return out;
 }
 
-/// The parameter choice implied by one labeling's cost totals, plus the
-/// exact adjacency-stream bit count it yields (before chunk padding).
-struct ParamChoice {
-  std::uint8_t first_mode = 0;
-  std::uint8_t k_first = 0;
-  std::uint8_t k_gap = 0;
-  std::uint64_t total_bits = 0;
-};
-
 /// Exact-cost parameter choice (ties: smaller k, raw mode first).
-ParamChoice choose_params(const CostTotals& costs) {
-  ParamChoice c;
+void choose_params(const CostTotals& costs, CompressedParams& c) {
   std::uint64_t best_gap = ~std::uint64_t{0};
   for (unsigned k = 0; k <= cz::kMaxK; ++k) {
     if (costs.gaps[k] < best_gap) {
@@ -231,8 +162,6 @@ ParamChoice choose_params(const CostTotals& costs) {
       }
     }
   }
-  c.total_bits = best_gap + best_first;
-  return c;
 }
 
 /// The owned backing buffer of a compress() result.
@@ -245,90 +174,38 @@ struct OwnedSections {
 CompressedGraph::CompressedGraph(CompressedParams params,
                                  std::span<const std::byte> degrees,
                                  std::span<const std::byte> anchors,
-                                 std::span<const std::byte> locals,
                                  std::span<const std::byte> adj,
-                                 std::span<const std::byte> perm,
-                                 std::span<const std::byte> inv,
                                  std::shared_ptr<const void> storage)
     : params_(params),
       degrees_(degrees),
       anchors_(anchors),
-      locals_(locals),
       adj_(adj),
-      perm_(perm),
-      inv_(inv),
-      mean_vertex_bits_(params.num_nodes == 0
-                            ? 0
-                            : params.adj_bytes * 8 / params.num_nodes),
       storage_(std::move(storage)) {}
 
 CompressedSectionSizes compressed_section_sizes(const CompressedParams& p) {
   CompressedSectionSizes s;
   const std::uint64_t n = p.num_nodes;
   // The "degrees" section holds the interleaved per-vertex index slots
-  // (degree + superblock-local offset); a separate locals section no
-  // longer exists, so its size is always zero.
+  // (degree + superblock-local offset).
   s.degrees = (n * (p.degree_bits + p.local_bits) + 7) / 8 + cz::kGuardBytes;
   s.anchors = (n + cz::kSuperblock - 1) / cz::kSuperblock * 8;
-  s.locals = 0;
   s.adj = p.adj_bytes + cz::kGuardBytes;
-  s.perm = p.relabeled ? n * sizeof(NodeId) : 0;
-  s.inv = s.perm;
   return s;
 }
 
-CompressedGraph compress(const Graph& g, ThreadPool& pool,
-                         const CompressOptions& opts) {
+CompressedGraph compress(const Graph& g, ThreadPool& pool) {
   const NodeId n = g.num_nodes();
-
-  // Relabeling candidate: degree-descending order, dropped when it is
-  // already the identity (regular graphs).
-  std::vector<NodeId> inv;  // storage -> original
-  std::vector<NodeId> perm; // original -> storage
-  if (opts.relabel != RelabelMode::kNever && n > 0) {
-    std::vector<NodeId> order = degree_descending_order(g);
-    bool identity = true;
-    for (NodeId s = 0; s < n && identity; ++s) identity = order[s] == s;
-    if (!identity) {
-      inv = std::move(order);
-      perm.resize(n);
-      for (NodeId s = 0; s < n; ++s) perm[inv[s]] = s;
-    }
-  }
-  StorageCsr t = storage_csr(g, pool, perm, inv);
+  const auto offsets = g.offsets();
 
   CompressedParams p;
   p.num_nodes = n;
   p.num_half_edges = g.num_half_edges();
-  p.relabeled = !perm.empty();
-
-  ParamChoice choice = choose_params(cost_totals(t, n, pool));
-
-  // Under kAuto the relabeling must pay its own way: the 64 bits/vertex of
-  // perm+inv maps (and the per-neighbor map lookup on decode) are kept
-  // only when the relabeled stream's exact bit savings exceed them.  On
-  // near-uniform graphs the order buys nothing, so the maps are dropped
-  // and neighbors decode with zero indirection.
-  if (p.relabeled && opts.relabel == RelabelMode::kAuto) {
-    StorageCsr t_id = storage_csr(g, pool, {}, {});
-    const ParamChoice id_choice = choose_params(cost_totals(t_id, n, pool));
-    const std::uint64_t map_bits = std::uint64_t{n} * 2 * sizeof(NodeId) * 8;
-    if (id_choice.total_bits <= choice.total_bits + map_bits) {
-      perm.clear();
-      inv.clear();
-      t = std::move(t_id);
-      p.relabeled = false;
-      choice = id_choice;
-    }
-  }
-  p.first_mode = choice.first_mode;
-  p.k_first = choice.k_first;
-  p.k_gap = choice.k_gap;
+  choose_params(cost_totals(g, pool), p);
 
   const std::uint64_t max_degree = parallel_reduce(
       pool, 0, n, std::uint64_t{0},
       [&](std::size_t s) {
-        return std::uint64_t{t.offsets[s + 1] - t.offsets[s]};
+        return std::uint64_t{offsets[s + 1] - offsets[s]};
       },
       [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
   p.degree_bits = static_cast<std::uint32_t>(std::bit_width(max_degree));
@@ -348,7 +225,7 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
         std::uint64_t at = 0;
         for (NodeId s = lo; s < hi; ++s) {
           bit_start[s] = at;
-          at += code_bits(t.list(s), s, p);
+          at += code_bits(g.neighbors(s), s, p);
         }
         chunk_bits[c] = at;
       },
@@ -375,15 +252,10 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
   const CompressedSectionSizes sz = compressed_section_sizes(p);
   auto owned = std::make_shared<OwnedSections>();
   owned->bytes.assign(
-      static_cast<std::size_t>(sz.degrees + sz.anchors + sz.locals + sz.adj +
-                               sz.perm + sz.inv),
-      std::byte{0});
+      static_cast<std::size_t>(sz.degrees + sz.anchors + sz.adj), std::byte{0});
   std::byte* const b_degrees = owned->bytes.data();
   std::byte* const b_anchors = b_degrees + sz.degrees;
-  std::byte* const b_locals = b_anchors + sz.anchors;
-  std::byte* const b_adj = b_locals + sz.locals;
-  std::byte* const b_perm = b_adj + sz.adj;
-  std::byte* const b_inv = b_perm + sz.perm;
+  std::byte* const b_adj = b_anchors + sz.anchors;
 
   // The index section chunks on 4096-vertex boundaries too: 4096·slot
   // bits is always whole bytes, so writers stay byte-exclusive.  Degree
@@ -399,7 +271,7 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
               static_cast<NodeId>(std::min<std::size_t>(lo + cz::kChunk, n));
           BitWriter w(b_degrees + std::uint64_t{lo} * slot_bits / 8);
           for (NodeId s = lo; s < hi; ++s) {
-            w.put(std::uint64_t{t.offsets[s + 1] - t.offsets[s]},
+            w.put(std::uint64_t{offsets[s + 1] - offsets[s]},
                   p.degree_bits);
             w.put(bit_start[s] -
                       bit_start[s / cz::kSuperblock * cz::kSuperblock],
@@ -422,28 +294,19 @@ CompressedGraph compress(const Graph& g, ThreadPool& pool,
         const NodeId hi =
             static_cast<NodeId>(std::min<std::size_t>(lo + cz::kChunk, n));
         BitWriter w(b_adj + chunk_byte[c]);
-        for (NodeId s = lo; s < hi; ++s) encode_vertex(w, t.list(s), s, p);
+        for (NodeId s = lo; s < hi; ++s) encode_vertex(w, g.neighbors(s), s, p);
         w.finish();
       },
       /*grain=*/1);
-  if (p.relabeled) {
-    parallel_for(pool, 0, n, [&](std::size_t u) {
-      store_le_at(b_perm + u * sizeof(NodeId), perm[u]);
-      store_le_at(b_inv + u * sizeof(NodeId), inv[u]);
-    });
-  }
 
-  return CompressedGraph(
-      p, {b_degrees, static_cast<std::size_t>(sz.degrees)},
-      {b_anchors, static_cast<std::size_t>(sz.anchors)},
-      {b_locals, static_cast<std::size_t>(sz.locals)},
-      {b_adj, static_cast<std::size_t>(sz.adj)},
-      {b_perm, static_cast<std::size_t>(sz.perm)},
-      {b_inv, static_cast<std::size_t>(sz.inv)}, std::move(owned));
+  return CompressedGraph(p, {b_degrees, static_cast<std::size_t>(sz.degrees)},
+                         {b_anchors, static_cast<std::size_t>(sz.anchors)},
+                         {b_adj, static_cast<std::size_t>(sz.adj)},
+                         std::move(owned));
 }
 
-CompressedGraph compress(const Graph& g, const CompressOptions& opts) {
-  return compress(g, ThreadPool::global(), opts);
+CompressedGraph compress(const Graph& g) {
+  return compress(g, ThreadPool::global());
 }
 
 Graph CompressedGraph::decompress(ThreadPool& pool) const {
@@ -458,9 +321,7 @@ Graph CompressedGraph::decompress(ThreadPool& pool) const {
   parallel_for(pool, 0, n, [&](std::size_t ui) {
     const auto u = static_cast<NodeId>(ui);
     NodeId* out = adj.data() + offsets[u];
-    std::size_t i = 0;
-    for (const NodeId v : neighbors(u)) out[i++] = v;
-    std::sort(out, out + i);
+    for (const NodeId v : neighbors(u)) *out++ = v;
   });
   return Graph(std::move(offsets), std::move(adj));
 }
@@ -483,22 +344,10 @@ Status validate_compressed_structure(const CompressedGraph& g,
       p.degree_bits > 32 || p.local_bits > 56) {
     return DataLossError("compressed CSR parameters out of range");
   }
-  std::atomic<bool> ok{true};
-  if (p.relabeled) {
-    parallel_for(pool, 0, n, [&](std::size_t u) {
-      const NodeId s = g.to_storage(static_cast<NodeId>(u));
-      if (s >= n || g.to_original(s) != u) {
-        ok.store(false, std::memory_order_relaxed);
-      }
-    });
-    if (!ok.load()) {
-      return DataLossError("compressed CSR relabeling is not a bijection");
-    }
-  }
   const std::uint64_t degree_sum = parallel_reduce(
       pool, 0, n, std::uint64_t{0},
       [&](std::size_t s) {
-        return std::uint64_t{g.storage_degree(static_cast<NodeId>(s))};
+        return std::uint64_t{g.degree(static_cast<NodeId>(s))};
       },
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
   if (degree_sum != p.num_half_edges) {
@@ -515,6 +364,7 @@ Status validate_compressed_structure(const CompressedGraph& g,
   std::vector<std::uint64_t> chunk_start(num_chunks, 0);
   std::vector<std::uint64_t> chunk_end(num_chunks, 0);
   const std::byte* adj = g.adj_section().data();
+  std::atomic<bool> ok{true};
   parallel_for(
       pool, 0, num_chunks,
       [&](std::size_t c) {
@@ -532,7 +382,7 @@ Status validate_compressed_structure(const CompressedGraph& g,
             ok.store(false, std::memory_order_relaxed);
             return;
           }
-          const std::size_t d = g.storage_degree(s);
+          const std::size_t d = g.degree(s);
           std::uint64_t prev = 0;
           for (std::size_t j = 0; j < d; ++j) {
             if (bit > limit_bits) {  // guard bytes keep the peek in bounds

@@ -11,9 +11,8 @@
 //     gaps are zero padding.  All integers are little-endian
 //     (graph/wire.hpp).  The header records each section's position.
 //   * Absent sections.  A format may leave a section out (the weights of
-//     an unweighted CSR, the relabeling maps of a compressed CSR that
-//     keeps the identity order).  It then records position 0 and takes
-//     no space; the format's flags say which sections are present.
+//     an unweighted CSR).  It then records position 0 and takes no space;
+//     the format's flags say which sections are present.
 //   * Checksum.  FNV-1a 64 over a prefix of the header the format
 //     chooses (none for CSR v2; the 128 bytes before the checksum field
 //     for `.orc`), then over every present section's bytes, in order.

@@ -344,7 +344,7 @@ constexpr std::string_view kCsr2Format = "CSR v2 file";
 // parameter block, the first section, instead of an offsets array;
 // neighbors_pos and weights_pos are zero.  The block records the
 // per-graph encoding choices (graph/compressed.hpp) and the positions of
-// the six sections that follow it; section *sizes* are derived through
+// the three sections that follow it; section *sizes* are derived through
 // compressed_section_sizes, so the reader's bounds checks cannot drift
 // from the writer.
 //
@@ -353,20 +353,25 @@ constexpr std::string_view kCsr2Format = "CSR v2 file";
 //   4       1     first_mode
 //   5       1     k_first
 //   6       1     k_gap
-//   7       1     relabeled (0/1)
+//   7       1     0 (retired relabeled flag)
 //   8       4     degree_bits
 //   12      4     local_bits
 //   16      8     adj_bytes
 //   24      8     degrees_pos
 //   32      8     anchors_pos
-//   40      8     locals_pos
+//   40      8     adj_pos (retired locals_pos: the empty section sat there)
 //   48      8     adj_pos
-//   56      8     perm_pos (0 unless relabeled)
-//   64      8     inv_pos  (0 unless relabeled)
+//   56      8     0 (retired perm_pos)
+//   64      8     0 (retired inv_pos)
 //   72      56    reserved (zeros)
+//
+// The retired fields keep every file written without relabeling
+// byte-identical.  A file that sets them otherwise has the relabeled
+// layout, which no longer loads: kDataLoss (the dataset cache then
+// regenerates the entry).
 constexpr std::uint64_t kCz2ParamsBytes = 128;
 constexpr std::uint32_t kCz2ParamsVersion = 1;
-constexpr std::size_t kCz2Sections = 6;  // degrees .. inv, in file order
+constexpr std::size_t kCz2Sections = 3;  // degrees, anchors, adj
 
 struct Csr2Header {
   std::uint32_t flags = 0;
@@ -545,8 +550,7 @@ Status read_plain_csr2(const Csr2File& f, bool verify, PlainCsr2& out) {
 }
 
 /// Parameter block of a compressed file: encoding parameters plus the
-/// position of every section (0 for the absent perm/inv of a graph that
-/// is not relabeled).
+/// position of every section.
 struct Cz2Layout {
   CompressedParams params;
   std::array<std::uint64_t, kCz2Sections> pos{};
@@ -555,13 +559,7 @@ struct Cz2Layout {
 std::array<std::uint64_t, kCz2Sections> cz2_section_bytes(
     const CompressedParams& p) {
   const CompressedSectionSizes s = compressed_section_sizes(p);
-  return {s.degrees, s.anchors, s.locals, s.adj, s.perm, s.inv};
-}
-
-/// The sections a compressed file holds: all six when relabeled, else
-/// the first four.
-std::size_t cz2_present(const CompressedParams& p) {
-  return p.relabeled ? kCz2Sections : kCz2Sections - 2;
+  return {s.degrees, s.anchors, s.adj};
 }
 
 void store_cz2_params(const Cz2Layout& lay, std::byte* out) {
@@ -571,13 +569,13 @@ void store_cz2_params(const Cz2Layout& lay, std::byte* out) {
   out[4] = static_cast<std::byte>(p.first_mode);
   out[5] = static_cast<std::byte>(p.k_first);
   out[6] = static_cast<std::byte>(p.k_gap);
-  out[7] = static_cast<std::byte>(p.relabeled ? 1 : 0);
   store_le_at(out + 8, p.degree_bits);
   store_le_at(out + 12, p.local_bits);
   store_le_at(out + 16, p.adj_bytes);
-  for (std::size_t i = 0; i < kCz2Sections; ++i) {
-    store_le_at(out + 24 + 8 * i, lay.pos[i]);
-  }
+  store_le_at(out + 24, lay.pos[0]);
+  store_le_at(out + 32, lay.pos[1]);
+  store_le_at(out + 40, lay.pos[2]);
+  store_le_at(out + 48, lay.pos[2]);
 }
 
 /// Reads and range-checks the parameter block, then applies the bounds
@@ -601,29 +599,28 @@ Status parse_cz2(const Csr2File& f, Cz2Layout& lay,
   p.first_mode = static_cast<std::uint8_t>(b[4]);
   p.k_first = static_cast<std::uint8_t>(b[5]);
   p.k_gap = static_cast<std::uint8_t>(b[6]);
-  p.relabeled = static_cast<std::uint8_t>(b[7]) != 0;
   p.degree_bits = read_le_at<std::uint32_t>(b + 8);
   p.local_bits = read_le_at<std::uint32_t>(b + 12);
   p.adj_bytes = read_le_at<std::uint64_t>(b + 16);
-  for (std::size_t i = 0; i < kCz2Sections; ++i) {
-    lay.pos[i] = read_le_at<std::uint64_t>(b + 24 + 8 * i);
-  }
+  lay.pos = {read_le_at<std::uint64_t>(b + 24),
+             read_le_at<std::uint64_t>(b + 32),
+             read_le_at<std::uint64_t>(b + 48)};
   for (std::uint64_t i = 72; i < kCz2ParamsBytes; ++i) {
     if (b[i] != std::byte{0}) {
       return DataLossError("nonzero reserved compressed parameter field");
     }
   }
-  if (static_cast<std::uint8_t>(b[7]) > 1 || p.first_mode > 1 ||
-      p.k_first > cz::kMaxK || p.k_gap > cz::kMaxK || p.degree_bits > 32 ||
-      p.local_bits > 56 || p.adj_bytes > size) {
+  if (b[7] != std::byte{0} || read_le_at<std::uint64_t>(b + 40) != lay.pos[2] ||
+      read_le_at<std::uint64_t>(b + 56) != 0 ||
+      read_le_at<std::uint64_t>(b + 64) != 0) {
+    return DataLossError("relabeled compressed CSR layout is not supported");
+  }
+  if (p.first_mode > 1 || p.k_first > cz::kMaxK || p.k_gap > cz::kMaxK ||
+      p.degree_bits > 32 || p.local_bits > 56 || p.adj_bytes > size) {
     return DataLossError("compressed CSR parameters out of range");
   }
-  if (p.relabeled != (lay.pos[4] != 0) || p.relabeled != (lay.pos[5] != 0)) {
-    return DataLossError("compressed CSR relabeling sections inconsistent "
-                         "with the relabeled flag");
-  }
   const auto bytes = cz2_section_bytes(p);
-  for (std::size_t i = 0; i < cz2_present(p); ++i) {
+  for (std::size_t i = 0; i < kCz2Sections; ++i) {
     refs.push_back({lay.pos[i], bytes[i], 1});
   }
   return check_sections(size, kCsr2HeaderBytes, refs, kCsr2Format);
@@ -641,10 +638,10 @@ StatusOr<CompressedGraph> read_compressed_csr2(Csr2File f, bool verify) {
   }
   const auto bytes = cz2_section_bytes(lay.params);
   std::array<std::span<const std::byte>, kCz2Sections> s{};
-  for (std::size_t i = 0; i < cz2_present(lay.params); ++i) {
+  for (std::size_t i = 0; i < kCz2Sections; ++i) {
     s[i] = f.file.bytes.subspan(lay.pos[i], bytes[i]);
   }
-  CompressedGraph cg(lay.params, s[0], s[1], s[2], s[3], s[4], s[5],
+  CompressedGraph cg(lay.params, s[0], s[1], s[2],
                      std::move(f.file.keepalive));
   if (verify) {
     GCLUS_RETURN_IF_ERROR(
@@ -677,8 +674,7 @@ Status write_csr(const CompressedGraph& g, const std::string& path) {
   Cz2Layout lay;
   lay.params = g.params();
   const std::span<const std::byte> data[] = {
-      g.degrees_section(), g.anchors_section(), g.locals_section(),
-      g.adj_section(),     g.perm_section(),    g.inv_section()};
+      g.degrees_section(), g.anchors_section(), g.adj_section()};
   const auto bytes = cz2_section_bytes(lay.params);
   for (std::size_t i = 0; i < kCz2Sections; ++i) {
     GCLUS_CHECK(bytes[i] == data[i].size(),
@@ -686,9 +682,7 @@ Status write_csr(const CompressedGraph& g, const std::string& path) {
   }
   std::byte params_block[kCz2ParamsBytes];
   std::vector<Section> sections = {{params_block, kCz2ParamsBytes, 1}};
-  for (std::size_t i = 0; i < cz2_present(lay.params); ++i) {
-    sections.push_back(Section::of(data[i]));
-  }
+  for (const auto& d : data) sections.push_back(Section::of(d));
   const auto pos = place_sections(kCsr2HeaderBytes, sections);
   for (std::size_t i = 1; i < pos.size(); ++i) lay.pos[i - 1] = pos[i];
   store_cz2_params(lay, params_block);

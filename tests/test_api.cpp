@@ -77,18 +77,18 @@ TEST(Registry, DeclaredSchemasRenderableAndTyped) {
 TEST(Registry, RejectsUnknownParameters) {
   const Graph g = gen::grid(6, 6);
   RunContext ctx;
-  EXPECT_DEATH(registry().run("cluster", g, AlgoParams{{"tua", "4"}}, ctx),
-               "has no parameter");
-  EXPECT_DEATH(registry().run("nope", g, {}, ctx), "unknown algorithm");
-  EXPECT_DEATH(registry().run("cluster", g, AlgoParams{{"tau", "abc"}}, ctx),
-               "not an unsigned integer");
+  // Unknown algorithms and keys come back as Status (next test); a
+  // malformed value aborts inside the adapter.
+  EXPECT_DEATH(
+      (void)registry().try_run("cluster", g, AlgoParams{{"tau", "abc"}}, ctx),
+      "not an unsigned integer");
 }
 
 TEST(Registry, TryRunReportsUsageErrorsAsStatus) {
   const Graph g = gen::grid(6, 6);
   RunContext ctx;
   // The Status surface lets long-lived callers (REPLs, servers) reject a
-  // bad request without dying; the abort behavior above is the wrapper.
+  // bad request without dying.
   const auto unknown = registry().try_run("nope", g, {}, ctx);
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
@@ -124,7 +124,8 @@ TEST_P(RegistryCorpusTest, AllAlgorithmsValidAndThreadCountInvariant) {
     RunContext ctx;
     ctx.seed = 7;
     ctx.pool = &serial;
-    const Clustering reference = registry().run(algo, graph, params, ctx);
+    const Clustering reference =
+        registry().try_run(algo, graph, params, ctx).value();
     EXPECT_TRUE(reference.validate(graph)) << algo << " on " << name;
 
     for (const std::size_t threads : {2u, 8u}) {
@@ -132,7 +133,8 @@ TEST_P(RegistryCorpusTest, AllAlgorithmsValidAndThreadCountInvariant) {
       RunContext tctx;
       tctx.seed = 7;
       tctx.pool = &pool;
-      const Clustering c = registry().run(algo, graph, params, tctx);
+      const Clustering c =
+          registry().try_run(algo, graph, params, tctx).value();
       EXPECT_EQ(c.assignment, reference.assignment)
           << algo << " on " << name << " with " << threads << " threads";
       EXPECT_EQ(c.centers, reference.centers) << algo << " on " << name;
@@ -162,8 +164,8 @@ TEST(RegistryEquivalence, ClusterMatchesDirectCall) {
 
   RunContext ctx;
   ctx.seed = 5;
-  const Clustering via_registry = registry().run(
-      "cluster", g, AlgoParams{}.set("tau", std::uint64_t{3}), ctx);
+  const Clustering via_registry = registry().try_run(
+      "cluster", g, AlgoParams{}.set("tau", std::uint64_t{3}), ctx).value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
   EXPECT_EQ(via_registry.dist_to_center, direct.dist_to_center);
@@ -177,8 +179,8 @@ TEST(RegistryEquivalence, Cluster2MatchesDirectCall) {
 
   RunContext ctx;
   ctx.seed = 11;
-  const Clustering via_registry = registry().run(
-      "cluster2", g, AlgoParams{}.set("tau", std::uint64_t{2}), ctx);
+  const Clustering via_registry = registry().try_run(
+      "cluster2", g, AlgoParams{}.set("tau", std::uint64_t{2}), ctx).value();
   EXPECT_EQ(via_registry.assignment, direct.clustering.assignment);
   EXPECT_EQ(via_registry.centers, direct.clustering.centers);
 }
@@ -192,7 +194,7 @@ TEST(RegistryEquivalence, MpxMatchesDirectCall) {
   RunContext ctx;
   ctx.seed = 13;
   const Clustering via_registry =
-      registry().run("mpx", g, AlgoParams{}.set("beta", 0.7), ctx);
+      registry().try_run("mpx", g, AlgoParams{}.set("beta", 0.7), ctx).value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
 }
@@ -205,8 +207,11 @@ TEST(RegistryEquivalence, RandomCentersMatchesDirectCall) {
 
   RunContext ctx;
   ctx.seed = 17;
-  const Clustering via_registry = registry().run(
-      "random_centers", g, AlgoParams{}.set("k", std::uint64_t{10}), ctx);
+  const Clustering via_registry =
+      registry()
+          .try_run("random_centers", g,
+                   AlgoParams{}.set("k", std::uint64_t{10}), ctx)
+          .value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
 }
@@ -220,8 +225,11 @@ TEST(RegistryEquivalence, WeightedClusterMatchesDirectUnitLift) {
 
   RunContext ctx;
   ctx.seed = 19;
-  const Clustering via_registry = registry().run(
-      "weighted_cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), ctx);
+  const Clustering via_registry =
+      registry()
+          .try_run("weighted_cluster", g,
+                   AlgoParams{}.set("tau", std::uint64_t{2}), ctx)
+          .value();
   EXPECT_EQ(via_registry.assignment, direct.assignment);
   EXPECT_EQ(via_registry.centers, direct.centers);
   EXPECT_EQ(via_registry.dist_to_center, direct.hops_to_center);
@@ -251,8 +259,10 @@ TEST(Telemetry, RecordsAlgorithmInternals) {
   RunContext ctx;
   ctx.seed = 3;
   ctx.telemetry = &telemetry;
-  (void)registry().run("cluster2", g,
-                       AlgoParams{}.set("tau", std::uint64_t{2}), ctx);
+  ASSERT_TRUE(registry()
+                  .try_run("cluster2", g,
+                           AlgoParams{}.set("tau", std::uint64_t{2}), ctx)
+                  .ok());
   EXPECT_TRUE(telemetry.has("cluster2.r_alg"));
   EXPECT_TRUE(telemetry.has("cluster2.prelim_growth_steps"));
   EXPECT_GE(telemetry.value("cluster2.clusters"), 1.0);
@@ -266,16 +276,16 @@ TEST(WorkspaceReuse, RecycledScratchMatchesFreshAllocation) {
   const Graph g = gen::expander(2000, 4, 5);
   RunContext fresh;
   fresh.seed = 21;
-  const Clustering reference = registry().run(
-      "cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), fresh);
+  const Clustering reference = registry().try_run(
+      "cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), fresh).value();
 
   Workspace ws;
   RunContext warm;
   warm.seed = 21;
   warm.workspace = &ws;
   for (int run = 0; run < 3; ++run) {
-    const Clustering c = registry().run(
-        "cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), warm);
+    const Clustering c = registry().try_run(
+        "cluster", g, AlgoParams{}.set("tau", std::uint64_t{2}), warm).value();
     EXPECT_EQ(c.assignment, reference.assignment) << "run " << run;
     EXPECT_EQ(c.dist_to_center, reference.dist_to_center) << "run " << run;
   }
@@ -297,7 +307,8 @@ TEST(WorkspaceReuse, SurvivesSerialReuseAcrossAllAlgorithms) {
       RunContext ctx;
       ctx.seed = 31;
       ctx.workspace = &ws;
-      Clustering c = registry().run(algo, g, corpus_params(algo), ctx);
+      Clustering c =
+          registry().try_run(algo, g, corpus_params(algo), ctx).value();
       EXPECT_TRUE(c.validate(g)) << algo;
       if (pass == 0) {
         first_pass.push_back(std::move(c));
@@ -316,10 +327,13 @@ TEST(WorkspaceReuse, SmallerGraphAfterLargerReusesCapacity) {
   ctx.workspace = &ws;
   const Graph big = gen::grid(40, 40);
   const Graph small = gen::cycle(64);
-  (void)registry().run("cluster", big, corpus_params("cluster"), ctx);
+  ASSERT_TRUE(
+      registry().try_run("cluster", big, corpus_params("cluster"), ctx).ok());
   const std::size_t bytes_after_big = ws.bytes();
   const Clustering c =
-      registry().run("cluster", small, corpus_params("cluster"), ctx);
+      registry()
+          .try_run("cluster", small, corpus_params("cluster"), ctx)
+          .value();
   EXPECT_TRUE(c.validate(small));
   // Serving a smaller graph must not grow the footprint.
   EXPECT_LE(ws.bytes(), bytes_after_big);
@@ -327,7 +341,9 @@ TEST(WorkspaceReuse, SmallerGraphAfterLargerReusesCapacity) {
   RunContext fresh;
   fresh.seed = 9;
   const Clustering reference =
-      registry().run("cluster", small, corpus_params("cluster"), fresh);
+      registry()
+          .try_run("cluster", small, corpus_params("cluster"), fresh)
+          .value();
   EXPECT_EQ(c.assignment, reference.assignment);
 }
 

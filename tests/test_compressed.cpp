@@ -1,11 +1,11 @@
 // Tests for the compressed adjacency layout: the full-registry corpus
-// sweep (every algorithm on a compressed graph — kAuto and forced
-// relabeling — must match the owning plain-CSR run byte for byte, since
-// public outputs stay in original ids), structural round trips through
-// compress/decompress, the CSR v2 compressed file format, and the dataset
-// cache, plus adversarial decode inputs: single-bit flips anywhere in the
-// file must come back as a Status (never a wrong answer or an abort),
-// truncation mid-bitstream is kDataLoss, and zero-degree runs and
+// sweep (every algorithm on a compressed graph must match the owning
+// plain-CSR run byte for byte, at any thread count), structural round
+// trips through compress/decompress, the CSR v2 compressed file format
+// (copied and mmap-ed), and the dataset cache, plus adversarial decode
+// inputs: single-bit flips anywhere in the file must come back as a
+// Status (never a wrong answer or an abort), truncation mid-bitstream and
+// the retired relabeled layout are kDataLoss, and zero-degree runs and
 // escape-coded maximal gaps round-trip exactly.
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "api/registry.hpp"
 #include "api/run_context.hpp"
 #include "graph/compressed.hpp"
+#include "graph/container.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
@@ -64,6 +65,21 @@ Graph from_undirected_edges(NodeId n,
   return Graph(std::move(offsets), std::move(neighbors));
 }
 
+/// Writes `bytes` to `path`, replacing it.
+void write_bytes(const std::string& path, const std::vector<std::byte>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<std::byte> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::byte> bytes(std::filesystem::file_size(path));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
 /// Same params as the plain-registry corpus sweep in test_api.cpp.
 AlgoParams corpus_params(const std::string& algo) {
   AlgoParams p;
@@ -90,12 +106,7 @@ class CompressedCorpusTest
 
 TEST_P(CompressedCorpusTest, AllAlgorithmsMatchPlainRun) {
   const auto& [name, graph] = GetParam();
-  const CompressedGraph cz_auto = compress(graph);
-  // kAlways still drops the maps when the degree-descending order is the
-  // identity (regular graphs), so not every corpus entry relabels — the
-  // skewed ones (power-law, rmat, grids) do.
-  const CompressedGraph cz_relabeled =
-      compress(graph, {.relabel = RelabelMode::kAlways});
+  const CompressedGraph cz = compress(graph);
 
   for (const std::string& algo : registry().names()) {
     const AlgoParams params = corpus_params(algo);
@@ -104,32 +115,23 @@ TEST_P(CompressedCorpusTest, AllAlgorithmsMatchPlainRun) {
     RunContext ctx;
     ctx.seed = 7;
     ctx.pool = &serial;
-    const Clustering reference = registry().run(algo, graph, params, ctx);
+    const Clustering reference =
+        registry().try_run(algo, graph, params, ctx).value();
 
-    // Outputs are in original vertex ids regardless of the storage
-    // relabeling, so the checks are plain equality — the inverse mapping
-    // is the implementation's job, not the caller's.
-    for (const CompressedGraph* cz : {&cz_auto, &cz_relabeled}) {
+    // The compressed path must match the plain run and stay thread-count
+    // invariant.
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
       RunContext cctx;
       cctx.seed = 7;
-      cctx.pool = &serial;
-      const Clustering c = registry().run(algo, *cz, params, cctx);
+      cctx.pool = &pool;
+      const Clustering c = registry().try_run(algo, cz, params, cctx).value();
       EXPECT_EQ(c.assignment, reference.assignment)
-          << algo << " on " << name
-          << (cz->relabeled() ? " (relabeled)" : " (auto)");
+          << algo << " on " << name << " with " << threads << " threads";
       EXPECT_EQ(c.centers, reference.centers) << algo << " on " << name;
       EXPECT_EQ(c.dist_to_center, reference.dist_to_center)
           << algo << " on " << name;
     }
-
-    // And the compressed path must stay thread-count invariant.
-    ThreadPool pool8(8);
-    RunContext pctx;
-    pctx.seed = 7;
-    pctx.pool = &pool8;
-    const Clustering c8 = registry().run(algo, cz_relabeled, params, pctx);
-    EXPECT_EQ(c8.assignment, reference.assignment)
-        << algo << " on " << name << " with 8 threads";
   }
 }
 
@@ -147,21 +149,29 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Compressed, CorpusRoundTripsThroughFileAndDecompress) {
   TempFile f("gclus_cz_roundtrip.csr2");
   ThreadPool pool(4);
+  std::vector<io::CsrLoadMode> modes = {io::CsrLoadMode::kCopy};
+  if (io::mmap_supported()) modes.push_back(io::CsrLoadMode::kMmap);
   for (const auto& [name, g] : testutil::small_connected_corpus()) {
-    for (const RelabelMode mode : {RelabelMode::kAuto, RelabelMode::kAlways}) {
-      const CompressedGraph cz = compress(g, pool, {.relabel = mode});
-      EXPECT_TRUE(validate_compressed_structure(cz, pool).ok()) << name;
-      EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g)) << name;
+    const CompressedGraph cz = compress(g, pool);
+    EXPECT_TRUE(validate_compressed_structure(cz, pool).ok()) << name;
+    EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g)) << name;
+    // Lists decode in ascending id order, the plain CSR's order.
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      std::vector<NodeId> decoded;
+      for (const NodeId v : cz.neighbors(u)) decoded.push_back(v);
+      ASSERT_TRUE(std::ranges::equal(decoded, g.neighbors(u)))
+          << name << " vertex " << u;
+    }
 
-      ASSERT_TRUE(io::write_csr(cz, f.path).ok());
-      const auto loaded = io::load_compressed_csr(f.path);
+    ASSERT_TRUE(io::write_csr(cz, f.path).ok());
+    for (const io::CsrLoadMode mode : modes) {
+      const auto loaded = io::load_compressed_csr(f.path, {.mode = mode});
       ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().message();
-      EXPECT_EQ(loaded.value().relabeled(), cz.relabeled()) << name;
       EXPECT_TRUE(testutil::same_csr(loaded.value().decompress(pool), g))
           << name;
 
       // Plain-CSR consumers accept the compressed file transparently.
-      const auto plain = io::load_csr(f.path);
+      const auto plain = io::load_csr(f.path, {.mode = mode});
       ASSERT_TRUE(plain.ok()) << name;
       EXPECT_TRUE(testutil::same_csr(plain.value(), g)) << name;
     }
@@ -170,7 +180,7 @@ TEST(Compressed, CorpusRoundTripsThroughFileAndDecompress) {
 
 TEST(Compressed, ZeroDegreeRunsRoundTrip) {
   // Leading, interior, and trailing runs of isolated vertices: a path
-  // over every third vertex starting at 30, so storage holds long runs
+  // over every third vertex starting at 30, so the index holds long runs
   // of zero-degree entries the index and decode walk must skip exactly.
   const NodeId n = 240;
   std::vector<std::pair<NodeId, NodeId>> edges;
@@ -180,16 +190,14 @@ TEST(Compressed, ZeroDegreeRunsRoundTrip) {
 
   ThreadPool pool(2);
   TempFile f("gclus_cz_zerodeg.csr2");
-  for (const RelabelMode mode : {RelabelMode::kAuto, RelabelMode::kAlways}) {
-    const CompressedGraph cz = compress(g, pool, {.relabel = mode});
-    EXPECT_TRUE(validate_compressed_structure(cz, pool).ok());
-    EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g));
+  const CompressedGraph cz = compress(g, pool);
+  EXPECT_TRUE(validate_compressed_structure(cz, pool).ok());
+  EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g));
 
-    ASSERT_TRUE(io::write_csr(cz, f.path).ok());
-    const auto loaded = io::load_compressed_csr(f.path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-    EXPECT_TRUE(testutil::same_csr(loaded.value().decompress(pool), g));
-  }
+  ASSERT_TRUE(io::write_csr(cz, f.path).ok());
+  const auto loaded = io::load_compressed_csr(f.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_TRUE(testutil::same_csr(loaded.value().decompress(pool), g));
 }
 
 TEST(Compressed, MaxGapDeltasUseEscapeAndRoundTrip) {
@@ -207,37 +215,14 @@ TEST(Compressed, MaxGapDeltasUseEscapeAndRoundTrip) {
 
   ThreadPool pool(2);
   TempFile f("gclus_cz_maxgap.csr2");
-  for (const RelabelMode mode : {RelabelMode::kAuto, RelabelMode::kAlways}) {
-    const CompressedGraph cz = compress(g, pool, {.relabel = mode});
-    EXPECT_TRUE(validate_compressed_structure(cz, pool).ok());
-    EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g));
+  const CompressedGraph cz = compress(g, pool);
+  EXPECT_TRUE(validate_compressed_structure(cz, pool).ok());
+  EXPECT_TRUE(testutil::same_csr(cz.decompress(pool), g));
 
-    ASSERT_TRUE(io::write_csr(cz, f.path).ok());
-    const auto loaded = io::load_compressed_csr(f.path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-    EXPECT_TRUE(testutil::same_csr(loaded.value().decompress(pool), g));
-  }
-}
-
-TEST(Compressed, RelabelingIsABijectionAndAutoSkipsRegularGraphs) {
-  // A near-regular graph has nothing to gain from degree ordering, so
-  // kAuto must keep the identity (no perm/inv cost).  On an *exactly*
-  // regular graph even kAlways drops the maps: the degree-descending
-  // stable order is the identity.
-  EXPECT_FALSE(compress(gen::expander(2000, 4, 9)).relabeled());
-  EXPECT_FALSE(
-      compress(gen::cycle(500), {.relabel = RelabelMode::kAlways}).relabeled());
-
-  // A skewed graph reorders; the forced maps must be a bijection and
-  // decode back to the original ids exactly.
-  const Graph skew = gen::preferential_attachment(4000, 3, 11);
-  const CompressedGraph forced =
-      compress(skew, {.relabel = RelabelMode::kAlways});
-  ASSERT_TRUE(forced.relabeled());
-  for (NodeId u = 0; u < skew.num_nodes(); ++u) {
-    EXPECT_EQ(forced.to_original(forced.to_storage(u)), u);
-  }
-  EXPECT_TRUE(testutil::same_csr(forced.decompress(), skew));
+  ASSERT_TRUE(io::write_csr(cz, f.path).ok());
+  const auto loaded = io::load_compressed_csr(f.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_TRUE(testutil::same_csr(loaded.value().decompress(pool), g));
 }
 
 // ---- adversarial inputs -----------------------------------------------------
@@ -245,7 +230,7 @@ TEST(Compressed, RelabelingIsABijectionAndAutoSkipsRegularGraphs) {
 TEST(CompressedCorruption, EveryBitFlipComesBackAsStatus) {
   TempFile f("gclus_cz_bitflip.csr2");
   const Graph g = gen::grid(12, 12);
-  const CompressedGraph cz = compress(g, {.relabel = RelabelMode::kAlways});
+  const CompressedGraph cz = compress(g);
   ASSERT_TRUE(io::write_csr(cz, f.path).ok());
   const auto size = std::filesystem::file_size(f.path);
 
@@ -306,6 +291,61 @@ TEST(CompressedCorruption, TruncationMidBitstreamIsDataLoss) {
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
         << loaded.status().message();
   }
+}
+
+TEST(CompressedCorruption, RelabeledLayoutFieldsAreDataLoss) {
+  // The parameter block keeps the fields of the retired relabeled layout:
+  // byte 7 (relabeled flag) and perm_pos/inv_pos must be 0, and locals_pos
+  // must equal adj_pos.  Each case sets one of them and re-seals the file
+  // with a matching checksum, so only that rule can reject it.
+  TempFile f("gclus_cz_relabeled.csr2");
+  const CompressedGraph cz = compress(gen::preferential_attachment(500, 3, 17));
+  ASSERT_TRUE(io::write_csr(cz, f.path).ok());
+  const std::vector<std::byte> valid = read_bytes(f.path);
+  const auto u64_at = [&](std::uint64_t off) {
+    return io::wire::read_le_at<std::uint64_t>(valid.data() + off);
+  };
+  const std::uint64_t block = u64_at(32);  // header offsets_pos
+  const std::uint64_t adj_pos = u64_at(block + 48);
+  ASSERT_EQ(u64_at(block + 40), adj_pos);
+  const CompressedSectionSizes sz = compressed_section_sizes(cz.params());
+  const io::SectionRef refs[] = {{block, 128, 1},
+                                 {u64_at(block + 24), sz.degrees, 1},
+                                 {u64_at(block + 32), sz.anchors, 1},
+                                 {adj_pos, sz.adj, 1}};
+  const auto checksum = [&](const std::vector<std::byte>& bytes) {
+    return io::container_checksum(io::FileContents{bytes, nullptr, false}, 0,
+                                  refs);
+  };
+  ASSERT_EQ(checksum(valid), u64_at(56));
+
+  struct Case {
+    const char* field;
+    std::uint64_t offset;
+    std::uint64_t value;
+  };
+  const Case cases[] = {{"relabeled flag", block + 7, 1},
+                        {"locals_pos", block + 40, adj_pos + io::kSectionAlign},
+                        {"perm_pos", block + 56, adj_pos},
+                        {"inv_pos", block + 64, adj_pos}};
+  for (const Case& c : cases) {
+    std::vector<std::byte> bytes = valid;
+    if (c.offset == block + 7) {
+      bytes[c.offset] = static_cast<std::byte>(c.value);
+    } else {
+      io::wire::store_le_at(bytes.data() + c.offset, c.value);
+    }
+    io::wire::store_le_at(bytes.data() + 56, checksum(bytes));
+    write_bytes(f.path, bytes);
+    for (const bool verify : {true, false}) {
+      const auto loaded = io::load_compressed_csr(f.path, {.verify = verify});
+      ASSERT_FALSE(loaded.ok()) << c.field << " verify=" << verify;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+          << c.field << ": " << loaded.status().message();
+    }
+  }
+  write_bytes(f.path, valid);
+  EXPECT_TRUE(io::load_compressed_csr(f.path).ok());
 }
 
 TEST(CompressedCorruption, PlainAndWeightedFilesAreInvalidArgument) {

@@ -288,7 +288,7 @@ TEST(FaultSweep, MrClusterIsByteIdenticalUnderSpillDegradation) {
   const auto run_once = [&] {
     RunContext ctx;
     ctx.seed = 7;
-    return registry().run("mr.cluster", g, params, ctx);
+    return registry().try_run("mr.cluster", g, params, ctx).value();
   };
 
   const Clustering clean = run_once();

@@ -511,9 +511,9 @@ TEST(Csr2Registry, OwningAndMappedGraphsDecomposeIdentically) {
       RunContext ctx_own, ctx_map;
       ctx_own.seed = ctx_map.seed = 12345;
       const Clustering own =
-          registry().run(algo, g, sweep_params(algo), ctx_own);
+          registry().try_run(algo, g, sweep_params(algo), ctx_own).value();
       const Clustering map =
-          registry().run(algo, mapped, sweep_params(algo), ctx_map);
+          registry().try_run(algo, mapped, sweep_params(algo), ctx_map).value();
       EXPECT_EQ(own.assignment, map.assignment) << name << "/" << algo;
       EXPECT_EQ(own.centers, map.centers) << name << "/" << algo;
       EXPECT_EQ(own.dist_to_center, map.dist_to_center)
