@@ -10,7 +10,9 @@
 //
 //   2. Binary beats text: loading the CSR v2 file — checksum-verified —
 //      is ≥10x faster than parsing the text edge list, with the mmap
-//      zero-copy path at least matching the copying read() path.
+//      zero-copy path at least matching the copying read() path.  The
+//      mmap and compressed loads are also timed without verification, so
+//      the tables show what the checksum and structural checks cost.
 //
 //   3. Storage-mode transparency: a registry decomposition on the
 //      mmap-backed graph is byte-identical to the owning graph.
@@ -19,7 +21,9 @@
 //      smaller than plain CSR v2, the encoder is byte-identical at 1, 2,
 //      and 8 threads, a push-mode registry decomposition pays <= 25%
 //      decode overhead over plain CSR, and compressed-mode outputs are
-//      byte-identical to the plain run at every thread count.
+//      byte-identical to the plain run at every thread count.  The
+//      overhead is timed on a pool of at most one worker per core, so
+//      oversubscription does not inflate either side.
 //
 // Results go to stdout as paper-style tables and to BENCH_io.json
 // (override with GCLUS_BENCH_OUT).  Exits nonzero if any claim fails.
@@ -30,6 +34,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -191,6 +196,16 @@ int main() {
           expect_g(h);
         });
   }
+  double csr_mmap_unverified_s = csr_mmap_s;
+  if (have_mmap) {
+    csr_mmap_unverified_s = best_of(
+        3,
+        [&] {
+          return ok_or_exit(io::load_csr(
+              csr_path, {.mode = io::CsrLoadMode::kMmap, .verify = false}));
+        },
+        expect_g);
+  }
   const double mmap_speedup = serial_parse_s / csr_mmap_s;
 
   TablePrinter load_table({"loader", "wall_s", "vs text parse"});
@@ -201,6 +216,8 @@ int main() {
                       fmt(serial_parse_s / csr_copy_s, 2)});
   load_table.add_row({have_mmap ? "csr2 mmap" : "csr2 mmap (unsupported)",
                       fmt(csr_mmap_s, 4), fmt(mmap_speedup, 2)});
+  load_table.add_row({"csr2 mmap, unverified", fmt(csr_mmap_unverified_s, 6),
+                      fmt(serial_parse_s / csr_mmap_unverified_s, 2)});
   load_table.print("CSR v2 load vs text parse",
                    "target: mmap >= 10x text parse, checksum verification "
                    "included");
@@ -266,6 +283,12 @@ int main() {
           std::exit(1);
         }
       });
+  const double cz_load_unverified_s = best_of(
+      3,
+      [&] {
+        return ok_or_exit(io::load_compressed_csr(cz_path, {.verify = false}));
+      },
+      [](const CompressedGraph&) {});
   expect_g(ok_or_exit(io::load_compressed_csr(cz_path)).decompress(pool8));
 
   TablePrinter cz_table({"layout", "bytes", "bits/half-edge", "vs csr2"});
@@ -279,10 +302,16 @@ int main() {
   cz_table.print("Compressed CSR footprint, 1.2M-edge expander",
                  "target: >= 2x smaller than plain CSR v2; encoder "
                  "byte-identical at 1/2/8 threads");
+  std::printf("compressed load: %.4f s verified, %.6f s unverified\n",
+              cz_load_s, cz_load_unverified_s);
 
   // --- decode overhead: push-mode registry cluster, plain vs compressed. ---
   AlgoParams cl_params;
   cl_params.set("tau", std::uint64_t{16});
+  // At most one worker per core: on an oversubscribed pool the ratio
+  // swung with the host's load.
+  const unsigned cores = std::thread::hardware_concurrency();
+  ThreadPool timing_pool(std::clamp(cores, 1u, 8u));
   const auto push_ctx = [&](ThreadPool& pool) {
     RunContext ctx;
     ctx.seed = 7;
@@ -291,7 +320,7 @@ int main() {
     return ctx;
   };
   const Clustering push_ref = [&] {
-    RunContext ctx = push_ctx(pool8);
+    RunContext ctx = push_ctx(timing_pool);
     return registry().try_run("cluster", g, cl_params, ctx).value();
   }();
   const auto expect_push_ref = [&](const Clustering& c) {
@@ -306,9 +335,9 @@ int main() {
   // equally and the overhead ratio stays stable even on busy hosts.
   double plain_cluster_s = 1e100;
   double cz_cluster_s = 1e100;
-  for (int rep = 0; rep < 7; ++rep) {
+  for (int rep = 0; rep < 15; ++rep) {
     {
-      RunContext ctx = push_ctx(pool8);
+      RunContext ctx = push_ctx(timing_pool);
       Timer t;
       const Clustering c =
           registry().try_run("cluster", g, cl_params, ctx).value();
@@ -316,7 +345,7 @@ int main() {
       expect_push_ref(c);
     }
     {
-      RunContext ctx = push_ctx(pool8);
+      RunContext ctx = push_ctx(timing_pool);
       Timer t;
       const Clustering c =
           registry().try_run("cluster", cz, cl_params, ctx).value();
@@ -346,7 +375,8 @@ int main() {
   decode_table.add_row({"plain CSR", fmt(plain_cluster_s, 4), "--"});
   decode_table.add_row({"compressed", fmt(cz_cluster_s, 4),
                         fmt(decode_overhead * 100.0, 1) + "%"});
-  decode_table.print("Decode overhead, push-mode registry cluster @8t",
+  decode_table.print("Decode overhead, push-mode registry cluster @" +
+                         std::to_string(timing_pool.num_threads()) + "t",
                      "target: <= 25% over plain CSR; outputs byte-identical "
                      "at 1/2/8 threads");
 
@@ -369,6 +399,7 @@ int main() {
   root.set("parallel_speedup_8t", parallel_speedup);
   root.set("csr_copy_load_s", csr_copy_s);
   root.set("csr_mmap_load_s", csr_mmap_s);
+  root.set("csr_mmap_load_unverified_s", csr_mmap_unverified_s);
   root.set("mmap_speedup_vs_text", mmap_speedup);
   root.set("mmap_supported", have_mmap);
   root.set("parse_deterministic_1_2_8", deterministic);
@@ -376,12 +407,15 @@ int main() {
   root.set("cz_bytes", cz_bytes);
   root.set("compress_s", compress_s);
   root.set("cz_load_s", cz_load_s);
+  root.set("cz_load_unverified_s", cz_load_unverified_s);
   root.set("compression_ratio", compression_ratio);
   root.set("bits_per_half_edge", bits_per_half_edge);
   root.set("encode_deterministic_1_2_8", encode_deterministic);
   root.set("plain_cluster_push_s", plain_cluster_s);
   root.set("cz_cluster_push_s", cz_cluster_s);
   root.set("decode_overhead", decode_overhead);
+  root.set("decode_overhead_threads",
+           static_cast<std::uint64_t>(timing_pool.num_threads()));
   root.set("compressed_identical_1_2_8", compressed_identical);
 
   const char* out_env = std::getenv("GCLUS_BENCH_OUT");

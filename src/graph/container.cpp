@@ -17,6 +17,7 @@
 #endif
 
 #include "common/faultpoint.hpp"
+#include "par/parallel_for.hpp"
 
 namespace gclus::io {
 
@@ -101,6 +102,83 @@ void for_each_le_piece(const Section& s, const Emit& emit) {
   }
 }
 
+// ---- checksum ---------------------------------------------------------------
+
+constexpr std::uint64_t kMixMultiplier = 0x9E3779B97F4A7C15ULL;
+constexpr std::size_t kLanes = 4;
+constexpr std::size_t kStripeBytes = kLanes * 8;
+/// Inputs of at most this many chunks hash on the calling thread.
+constexpr std::size_t kInlineChunks = 4;
+
+/// One checksum step.  For a fixed `word` it is a bijection of `state`,
+/// and for a fixed `state` a bijection of `word`: xor, a multiply by an
+/// odd constant and an xorshift each invert.
+inline std::uint64_t mix(std::uint64_t state, std::uint64_t word) {
+  state = (state ^ word) * kMixMultiplier;
+  return state ^ (state >> 29);
+}
+
+/// The digest of one chunk of `n` little-endian bytes (container.hpp).
+std::uint64_t chunk_digest(const std::byte* p, std::size_t n) {
+  std::uint64_t lane[kLanes];
+  for (std::size_t i = 0; i < kLanes; ++i) lane[i] = kFnvOffsetBasis + i;
+  std::size_t at = 0;
+  for (; at + kStripeBytes <= n; at += kStripeBytes) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      lane[i] = mix(lane[i], read_le_at<std::uint64_t>(p + at + 8 * i));
+    }
+  }
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const std::uint64_t l : lane) h = mix(h, l);
+  h = fnv1a(h, p + at, n - at);
+  return mix(h, n);
+}
+
+/// One chunk of a covered range: `bytes` bytes of elements `width` bytes
+/// wide, stored in host order (so swapped to little-endian first on a
+/// big-endian host).
+struct Chunk {
+  const std::byte* data;
+  std::size_t bytes;
+  std::uint32_t width;
+};
+
+/// Appends the chunks of one covered range, measured from its start.
+void add_chunks(std::vector<Chunk>& out, const void* data,
+                std::uint64_t bytes, std::uint32_t width) {
+  const auto* p = static_cast<const std::byte*>(data);
+  for (std::uint64_t at = 0; at < bytes; at += kChecksumChunkBytes) {
+    out.push_back(
+        {p + at,
+         static_cast<std::size_t>(std::min(kChecksumChunkBytes, bytes - at)),
+         width});
+  }
+}
+
+std::uint64_t digest_of(const Chunk& c) {
+  if (kLittleEndian || c.width == 1) return chunk_digest(c.data, c.bytes);
+  std::vector<std::byte> le(c.bytes);
+  for (std::size_t i = 0; i < c.bytes; i += c.width) {
+    std::reverse_copy(c.data + i, c.data + i + c.width, le.data() + i);
+  }
+  return chunk_digest(le.data(), le.size());
+}
+
+/// Hashes `chunks` (on `pool` unless there are only a few) and folds the
+/// digests in order.
+std::uint64_t fold_chunks(std::span<const Chunk> chunks, ThreadPool& pool) {
+  std::vector<std::uint64_t> digest(chunks.size());
+  const auto hash_one = [&](std::size_t i) { digest[i] = digest_of(chunks[i]); };
+  if (chunks.size() <= kInlineChunks) {
+    for (std::size_t i = 0; i < chunks.size(); ++i) hash_one(i);
+  } else {
+    parallel_for(pool, 0, chunks.size(), hash_one, /*grain=*/1);
+  }
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const std::uint64_t d : digest) h = mix(h, d);
+  return h;
+}
+
 void write_zeros(std::ofstream& out, std::uint64_t count) {
   static constexpr char zeros[kSectionAlign] = {};
   while (count > 0) {
@@ -151,15 +229,14 @@ std::vector<std::uint64_t> place_sections(std::uint64_t header_bytes,
 }
 
 std::uint64_t container_checksum(std::span<const std::byte> header_prefix,
-                                 std::span<const Section> sections) {
-  std::uint64_t h =
-      fnv1a(kFnvOffsetBasis, header_prefix.data(), header_prefix.size());
+                                 std::span<const Section> sections,
+                                 ThreadPool& pool) {
+  std::vector<Chunk> chunks;
+  add_chunks(chunks, header_prefix.data(), header_prefix.size(), 1);
   for (const Section& s : sections) {
-    for_each_le_piece(s, [&](const void* p, std::size_t n) {
-      h = fnv1a(h, p, n);
-    });
+    add_chunks(chunks, s.data, s.bytes(), s.width);
   }
-  return h;
+  return fold_chunks(chunks, pool);
 }
 
 Status write_container(const std::string& path,
@@ -266,14 +343,15 @@ Status check_sections(std::uint64_t file_size, std::uint64_t start,
 
 std::uint64_t container_checksum(const FileContents& file,
                                  std::uint64_t prefix_bytes,
-                                 std::span<const SectionRef> sections) {
-  std::uint64_t h = fnv1a(kFnvOffsetBasis, file.bytes.data(),
-                          static_cast<std::size_t>(prefix_bytes));
+                                 std::span<const SectionRef> sections,
+                                 ThreadPool& pool) {
+  // The file already holds little-endian bytes: no chunk needs a swap.
+  std::vector<Chunk> chunks;
+  add_chunks(chunks, file.bytes.data(), prefix_bytes, 1);
   for (const SectionRef& s : sections) {
-    h = fnv1a(h, file.bytes.data() + s.pos,
-              static_cast<std::size_t>(s.count * s.width));
+    add_chunks(chunks, file.bytes.data() + s.pos, s.count * s.width, 1);
   }
-  return h;
+  return fold_chunks(chunks, pool);
 }
 
 }  // namespace gclus::io

@@ -13,10 +13,25 @@
 //   * Absent sections.  A format may leave a section out (the weights of
 //     an unweighted CSR).  It then records position 0 and takes no space;
 //     the format's flags say which sections are present.
-//   * Checksum.  FNV-1a 64 over a prefix of the header the format
-//     chooses (none for CSR v2; the 128 bytes before the checksum field
-//     for `.orc`), then over every present section's bytes, in order.
-//     Padding is not covered.
+//   * Checksum.  It covers a prefix of the header the format chooses
+//     (none for CSR v2; the 128 bytes before the checksum field for
+//     `.orc`), then every present section's little-endian bytes, in file
+//     order.  Padding is not covered.  Each covered range splits into
+//     chunks of kChecksumChunkBytes (1 MiB) measured from its own start;
+//     only a range's last chunk may be shorter, and an empty range has no
+//     chunks.  With M = 0x9E3779B97F4A7C15, B = 0xCBF29CE484222325 (the
+//     FNV-1a 64 offset basis) and the step
+//         mix(s, w) = x ^ (x >> 29),  x = (s ^ w) * M  (mod 2^64),
+//     a chunk of n bytes hashes as follows.  Four lanes start at B + i,
+//     i = 0..3.  Each whole 32-byte stripe, in order, updates lane i with
+//     mix(lane_i, w_i), where w_i is the stripe's i-th 8-byte
+//     little-endian word.  Then h = B, h = mix(h, lane_i) for i = 0..3;
+//     the n mod 32 tail bytes feed FNV-1a 64 from h (h ^= byte,
+//     h *= 0x100000001B3); the digest is mix(h, n).  The checksum starts
+//     at B and folds every chunk digest d in file order: c = mix(c, d).
+//     mix is a bijection in each argument, so changing any one word or
+//     tail byte always changes the checksum.  Chunks hash in parallel, and
+//     the value does not depend on the thread count.
 //   * Bounds rule.  A reader accepts a section of `count` elements of
 //     `width` bytes at `pos` only if `pos` is aligned, at or after the end
 //     of the previous section (or of the header), and
@@ -46,10 +61,13 @@
 
 #include "common/status.hpp"
 #include "graph/wire.hpp"
+#include "par/thread_pool.hpp"
 
 namespace gclus::io {
 
 inline constexpr std::uint64_t kSectionAlign = 64;
+/// The checksum's chunk size (see the checksum rule above).
+inline constexpr std::uint64_t kChecksumChunkBytes = std::uint64_t{1} << 20;
 
 // ---- writing ----------------------------------------------------------------
 
@@ -71,11 +89,12 @@ struct Section {
 [[nodiscard]] std::vector<std::uint64_t> place_sections(
     std::uint64_t header_bytes, std::span<const Section> sections);
 
-/// FNV-1a over `header_prefix`, then over the little-endian bytes of
-/// `sections` in order.
+/// The container checksum of `header_prefix`, then of the little-endian
+/// bytes of `sections` in order.  Chunks hash on `pool`.
 [[nodiscard]] std::uint64_t container_checksum(
     std::span<const std::byte> header_prefix,
-    std::span<const Section> sections);
+    std::span<const Section> sections,
+    ThreadPool& pool = ThreadPool::global());
 
 /// Writes `header`, then `sections` at place_sections(header.size(), …)
 /// with zero padding.  kIoError when `fault_point` fires, the file cannot
@@ -133,10 +152,11 @@ struct SectionRef {
                                     std::string_view format);
 
 /// The container checksum of `file`: its first `prefix_bytes` bytes, then
-/// `sections` (which check_sections has accepted).
+/// `sections` (which check_sections has accepted).  Chunks hash on `pool`.
 [[nodiscard]] std::uint64_t container_checksum(
     const FileContents& file, std::uint64_t prefix_bytes,
-    std::span<const SectionRef> sections);
+    std::span<const SectionRef> sections,
+    ThreadPool& pool = ThreadPool::global());
 
 /// `count` elements of T at byte `pos` of `file`: viewed in place when the
 /// file is mapped on a little-endian host, else decoded into `owned`.

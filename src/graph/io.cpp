@@ -332,7 +332,7 @@ namespace {
 
 // Bytes "GCLUSCS2" when stored little-endian.
 constexpr std::uint64_t kCsr2Magic = 0x32534353554C4347ULL;
-constexpr std::uint32_t kCsr2Version = 2;
+constexpr std::uint32_t kCsr2Version = 3;
 constexpr std::uint32_t kCsr2FlagWeights = 1u << 0;
 constexpr std::uint32_t kCsr2FlagCompressed = 1u << 1;
 constexpr std::uint32_t kCsr2KnownFlags =
@@ -494,24 +494,29 @@ StatusOr<Csr2File> open_csr2(const std::string& path, CsrLoadMode mode) {
 /// Structural validation of decoded arrays: offsets monotone from 0 to m,
 /// every neighbor id in range.  Guards algorithms against out-of-bounds
 /// indexing on corrupted (but checksum-consistent, e.g. maliciously
-/// crafted) files.
+/// crafted) files.  The scans run on the global pool and name the lowest
+/// failing index.
 Status validate_csr_arrays(std::span<const EdgeId> offsets,
                            std::span<const NodeId> neighbors) {
   if (offsets.empty() || offsets.front() != 0 ||
       offsets.back() != neighbors.size()) {
     return DataLossError("corrupt CSR v2 payload (offset endpoints)");
   }
-  for (std::size_t u = 1; u < offsets.size(); ++u) {
-    if (offsets[u] < offsets[u - 1]) {
-      return DataLossError("corrupt CSR v2 payload (offsets not monotone)");
-    }
+  ThreadPool& pool = ThreadPool::global();
+  const std::size_t u = parallel_find_first(
+      pool, 1, offsets.size(),
+      [&](std::size_t i) { return offsets[i] < offsets[i - 1]; });
+  if (u < offsets.size()) {
+    return DataLossError("corrupt CSR v2 payload (offsets not monotone at "
+                         "node " + std::to_string(u) + ")");
   }
   const auto n = static_cast<NodeId>(offsets.size() - 1);
-  for (const NodeId v : neighbors) {
-    if (v >= n) {
-      return DataLossError("corrupt CSR v2 payload (neighbor id out of "
-                           "range)");
-    }
+  const std::size_t e = parallel_find_first(
+      pool, 0, neighbors.size(),
+      [&](std::size_t i) { return neighbors[i] >= n; });
+  if (e < neighbors.size()) {
+    return DataLossError("corrupt CSR v2 payload (neighbor id out of range "
+                         "at half-edge " + std::to_string(e) + ")");
   }
   return OkStatus();
 }

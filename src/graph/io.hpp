@@ -12,7 +12,7 @@
 //
 //   * CSR v2 binary — a versioned header over the shared section
 //     container (graph/container.hpp: 64-byte-aligned sections,
-//     little-endian integers, FNV-1a checksum, bounds rule, absent
+//     little-endian integers, chunked checksum, bounds rule, absent
 //     sections).  Loading can mmap the file and hand the offset/neighbor
 //     sections to Graph *in place* (zero copy, non-owning storage mode),
 //     falling back to read() on platforms without mmap.
@@ -21,14 +21,15 @@
 //
 //   offset  size  field
 //   0       8     magic "GCLUSCS2"
-//   8       4     version (2)
+//   8       4     version (3; other versions are kInvalidArgument)
 //   12      4     flags (bit 0: weights section present; bit 1: compressed)
 //   16      8     n  (node count; offsets section has n+1 entries)
 //   24      8     m  (directed half-edge count; 2x undirected edges)
 //   32      8     offsets_pos    (byte position of the offsets section)
 //   40      8     neighbors_pos
 //   48      8     weights_pos    (0 when absent)
-//   56      8     checksum
+//   56      8     checksum (container.hpp: 1 MiB chunks of each section,
+//                 4-lane word hash per chunk, digests folded in file order)
 //   64      8     reserved (0)
 //   sections: offsets (n+1)*8B, neighbors m*4B, weights m*8B.  A
 //   compressed file instead holds a parameter block and six byte sections
@@ -101,8 +102,8 @@ struct CsrLoadOptions {
   CsrLoadMode mode = CsrLoadMode::kAuto;
   /// Verify the payload checksum and structural invariants (offsets
   /// monotone and in range, neighbor ids < n) before handing out the
-  /// graph.  One sequential pass over the file — cheap next to any
-  /// algorithm that will touch the data anyway.
+  /// graph.  One pass over the file on the global pool — cheap next to
+  /// any algorithm that will touch the data anyway.
   bool verify = true;
 };
 

@@ -3,8 +3,9 @@
 // CSR v2 (graph/io.cpp) and the oracle artifact (server/artifact.cpp) are
 // both written and read through the section container
 // (graph/container.hpp): fixed little-endian integers, 64-byte-aligned
-// sections, and an FNV-1a checksum.  These helpers are the integer and
-// checksum primitives it and the format headers are built from.
+// sections, and a chunked checksum whose tail rule is FNV-1a 64.  These
+// helpers are the integer and hash primitives it and the format headers
+// are built from.
 #pragma once
 
 #include <bit>
@@ -15,7 +16,9 @@
 
 namespace gclus::io::wire {
 
-inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+// The FNV-1a 64 parameters: offset basis 0xCBF29CE484222325, prime
+// 0x100000001B3.
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 inline std::uint64_t fnv1a(std::uint64_t h, const void* data,

@@ -129,6 +129,30 @@ bool atomic_fetch_min(Atomic&& target,
   return false;
 }
 
+/// The lowest i in [begin, end) with pred(i), or `end` when there is none.
+/// Blocks of `grain` indices scan in parallel and each stops at its first
+/// match; a block that starts past the best match so far is skipped.  The
+/// answer is the same at any pool size.
+template <typename Pred>
+std::size_t parallel_find_first(ThreadPool& pool, std::size_t begin,
+                                std::size_t end, const Pred& pred,
+                                std::size_t grain = std::size_t{1} << 16) {
+  std::atomic<std::size_t> first{end};
+  parallel_for_chunks(
+      pool, begin, end,
+      [&](std::size_t lo, std::size_t hi) {
+        if (lo >= first.load(std::memory_order_relaxed)) return;
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (pred(i)) {
+            atomic_fetch_min(first, i);
+            return;
+          }
+        }
+      },
+      grain);
+  return first.load(std::memory_order_relaxed);
+}
+
 /// Exclusive prefix sum of `values` in place; returns the grand total.
 /// Sequential: the inputs are per-cluster, per-worker, per-chunk or
 /// per-block counts.  The largest is the graph builder's block x range

@@ -6,6 +6,13 @@
 
 namespace gclus {
 
+namespace {
+
+/// The pool whose worker loop runs on this thread, if any.
+thread_local const ThreadPool* tls_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads)
     : num_threads_(num_threads == 0 ? 1 : num_threads) {
   if (num_threads_ == 1) return;  // inline mode: no worker threads at all
@@ -30,20 +37,20 @@ void ThreadPool::run_on_workers(const std::function<void(std::size_t)>& fn) {
     fn(0);
     return;
   }
-  {
-    std::lock_guard lock(mu_);
-    GCLUS_CHECK(job_ == nullptr, "nested run_on_workers on the same pool");
-    job_ = &fn;
-    outstanding_ = num_threads_;
-    ++epoch_;
-  }
-  cv_work_.notify_all();
+  GCLUS_CHECK(tls_worker_of != this, "nested run_on_workers on the same pool");
   std::unique_lock lock(mu_);
+  cv_idle_.wait(lock, [this] { return job_ == nullptr; });
+  job_ = &fn;
+  outstanding_ = num_threads_;
+  ++epoch_;
+  cv_work_.notify_all();
   cv_done_.wait(lock, [this] { return outstanding_ == 0; });
   job_ = nullptr;
+  cv_idle_.notify_one();
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
+  tls_worker_of = this;
   std::size_t seen_epoch = 0;
   for (;;) {
     const std::function<void(std::size_t)>* job;

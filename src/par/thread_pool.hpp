@@ -36,7 +36,10 @@ class ThreadPool {
 
   /// Runs `fn(worker_index)` on every worker (and on the caller for pools of
   /// size 1) and blocks until all invocations return.  `fn` must be safe to
-  /// call concurrently from distinct threads.
+  /// call concurrently from distinct threads.  Calls from threads outside
+  /// the pool run one job at a time: a caller that finds a job running
+  /// waits for it to finish.  A call from one of this pool's own workers
+  /// (a nested job) would deadlock, so it aborts.
   void run_on_workers(const std::function<void(std::size_t)>& fn);
 
   /// Process-wide pool.  First call creates it; sizing honours
@@ -52,6 +55,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
+  std::condition_variable cv_idle_;  // job_ went back to nullptr
   const std::function<void(std::size_t)>* job_ = nullptr;
   std::size_t epoch_ = 0;       // bumped per job; workers wait for a new epoch
   std::size_t outstanding_ = 0; // workers still running the current job

@@ -11,6 +11,7 @@
 #include "common/faultpoint.hpp"
 #include "graph/container.hpp"
 #include "graph/wire.hpp"
+#include "par/parallel_for.hpp"
 
 namespace gclus::server {
 
@@ -20,7 +21,7 @@ using namespace io::wire;
 
 // Bytes "GCLUSORC" when stored little-endian.
 constexpr std::uint64_t kOrcMagic = 0x43524F53554C4347ULL;
-constexpr std::uint32_t kOrcVersion = 1;
+constexpr std::uint32_t kOrcVersion = 2;
 constexpr std::uint64_t kOrcHeaderBytes = 144;
 /// Header bytes under the checksum: everything before the checksum field,
 /// so a bit flip anywhere in the metadata is detected, not only in fields
@@ -156,42 +157,46 @@ Status parse_header(std::span<const std::byte> file, OracleArtifactMeta& m,
 /// Structural validation of the decoded sections: every index a query
 /// will ever compute stays in range.  Guards the serving path against
 /// corrupted-but-checksum-consistent (e.g. maliciously crafted) files.
+/// The scans run on the global pool; each failure names the lowest
+/// failing index, and the checks run in a fixed order, so the message
+/// does not depend on the thread count.
 Status validate_artifact_arrays(const OracleArtifact& a) {
   const std::uint64_t k = a.meta.num_clusters;
   const std::uint64_t n = a.meta.graph_num_nodes;
-  for (const ClusterId c : a.cluster_of) {
-    if (c >= k) {
-      return DataLossError("corrupt artifact (cluster label out of range)");
-    }
-  }
-  for (std::size_t c = 0; c < a.centers.size(); ++c) {
-    const NodeId ctr = a.centers[c];
-    if (ctr >= n || a.cluster_of[ctr] != c || a.dist_to_center[ctr] != 0) {
-      return DataLossError("corrupt artifact (center labels inconsistent)");
-    }
-  }
+  ThreadPool& pool = ThreadPool::global();
+  // kDataLoss naming `what` and the lowest i in [begin, end) with bad(i).
+  const auto scan = [&](const char* what, std::size_t begin, std::size_t end,
+                        const auto& bad) {
+    const std::size_t at = parallel_find_first(pool, begin, end, bad);
+    return at == end ? OkStatus()
+                     : DataLossError("corrupt artifact (" + std::string(what) +
+                                     " at " + std::to_string(at) + ")");
+  };
+  const auto& label = a.cluster_of;
+  GCLUS_RETURN_IF_ERROR(
+      scan("cluster label out of range", 0, label.size(),
+           [&](std::size_t v) { return label[v] >= k; }));
+  GCLUS_RETURN_IF_ERROR(
+      scan("center labels inconsistent", 0, a.centers.size(),
+           [&](std::size_t c) {
+             const NodeId ctr = a.centers[c];
+             return ctr >= n || label[ctr] != c || a.dist_to_center[ctr] != 0;
+           }));
   const auto& off = a.quotient_offsets;
   if (off.empty() || off.front() != 0 ||
       off.back() != a.quotient_neighbors.size()) {
     return DataLossError("corrupt artifact (quotient offset endpoints)");
   }
-  for (std::size_t c = 1; c < off.size(); ++c) {
-    if (off[c] < off[c - 1]) {
-      return DataLossError("corrupt artifact (quotient offsets not "
-                           "monotone)");
-    }
-  }
-  for (const ClusterId c : a.quotient_neighbors) {
-    if (c >= k) {
-      return DataLossError("corrupt artifact (quotient neighbor out of "
-                           "range)");
-    }
-  }
-  for (std::uint64_t c = 0; c < k; ++c) {
-    if (a.apsp[static_cast<std::size_t>(c) * k + c] != 0) {
-      return DataLossError("corrupt artifact (APSP diagonal nonzero)");
-    }
-  }
+  GCLUS_RETURN_IF_ERROR(
+      scan("quotient offsets not monotone", 1, off.size(),
+           [&](std::size_t c) { return off[c] < off[c - 1]; }));
+  const auto& qadj = a.quotient_neighbors;
+  GCLUS_RETURN_IF_ERROR(
+      scan("quotient neighbor out of range", 0, qadj.size(),
+           [&](std::size_t e) { return qadj[e] >= k; }));
+  GCLUS_RETURN_IF_ERROR(scan("APSP diagonal nonzero", 0, k, [&](std::size_t c) {
+    return a.apsp[c * k + c] != 0;
+  }));
   return OkStatus();
 }
 

@@ -15,7 +15,7 @@
 //
 //   offset  size  field
 //   0       8     magic "GCLUSORC"
-//   8       4     version (1)
+//   8       4     version (2; other versions are kInvalidArgument)
 //   12      4     flags (none defined; must be 0)
 //   16      8     graph_num_nodes n      (validated against the served graph)
 //   24      8     graph_num_half_edges m (likewise)
@@ -35,7 +35,9 @@
 //   120     8     apsp_pos        → k·k × u64 (row-major APSP matrix)
 //   128     8     checksum (covers header bytes [0, 128), so every
 //                 metadata field is integrity-protected, not only the
-//                 bulk arrays)
+//                 bulk arrays; container.hpp: the 128 bytes are one
+//                 chunk, then 1 MiB chunks of each section, a 4-lane
+//                 word hash per chunk, digests folded in file order)
 //   136     8     reserved (must be 0)
 //
 // Error handling follows graph/io.hpp: kInvalidArgument means the bytes
@@ -112,8 +114,8 @@ struct ArtifactLoadOptions {
   bool prefer_mmap = true;
   /// Verify the payload checksum and the structural invariants every
   /// query-time index depends on (labels < k, quotient CSR well-formed,
-  /// centers consistent).  One sequential pass; keep it on outside
-  /// microbenchmarks.
+  /// centers consistent).  One pass over the file on the global pool;
+  /// keep it on outside microbenchmarks.
   bool verify = true;
 };
 

@@ -22,8 +22,8 @@
 // so concurrently cache-filling processes — a parallel ctest — race
 // benignly; corrupt or stale entries fail checksum validation and are
 // regenerated in place.  Bump kDatasetGeneratorVersion whenever any
-// generator's output changes: the version is part of every cache key, so
-// stale files are simply never read again.
+// generator's output or the CSR v2 format changes: the version is part of
+// every cache key, so stale files are simply never read again.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +43,9 @@ struct Dataset {
   bool large_diameter = false;  // drives granularity choices (§6.1)
 };
 
-/// Bumped when generator output changes; part of every cache key.
-inline constexpr std::uint32_t kDatasetGeneratorVersion = 1;
+/// Bumped when generator output or the CSR v2 format changes; part of
+/// every cache key.
+inline constexpr std::uint32_t kDatasetGeneratorVersion = 2;
 
 /// Names in canonical (paper Table 1) order.
 [[nodiscard]] const std::vector<std::string>& dataset_names();

@@ -257,7 +257,7 @@ TEST(Csr2, CorpusRoundTripCopyAndMmap) {
 
     const auto info = probe_csr_file(f.path);
     ASSERT_TRUE(info.has_value()) << name;
-    EXPECT_EQ(info->version, 2u);
+    EXPECT_EQ(info->version, 3u);
     EXPECT_FALSE(info->weighted);
     EXPECT_EQ(info->num_nodes, g.num_nodes());
     EXPECT_EQ(info->num_half_edges, g.num_half_edges());

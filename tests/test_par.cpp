@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "par/parallel_for.hpp"
@@ -82,6 +83,25 @@ TEST_P(ParallelForTest, SumHelper) {
   EXPECT_EQ(s, 5050u);
 }
 
+TEST_P(ParallelForTest, FindFirstReturnsLowestMatch) {
+  ThreadPool pool(GetParam());
+  constexpr std::size_t n = 200000;
+  for (const std::size_t hit : {std::size_t{0}, std::size_t{1},
+                                std::size_t{70001}, n - 1}) {
+    // Every multiple of 7 at or after `hit` matches, so each block past
+    // it holds a match and the lowest one must win.
+    const auto pred = [&](std::size_t i) { return i >= hit && i % 7 == 0; };
+    const std::size_t want = (hit + 6) / 7 * 7;
+    EXPECT_EQ(parallel_find_first(pool, 0, n, pred, /*grain=*/1000),
+              want < n ? want : n);
+  }
+  EXPECT_EQ(parallel_find_first(pool, 5, n, [](std::size_t) { return false; },
+                                /*grain=*/1000),
+            n);
+  EXPECT_EQ(parallel_find_first(pool, 5, 5, [](std::size_t) { return true; }),
+            5u);
+}
+
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelForTest,
                          ::testing::Values(1, 2, 3, 4, 8));
 
@@ -110,6 +130,38 @@ TEST(ThreadPool, ReusableAcrossJobs) {
     pool.run_on_workers([&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 150);
+}
+
+TEST(ThreadPool, ConcurrentExternalCallersQueue) {
+  // Two threads outside the pool share it: each job waits for the one
+  // running, and every loop still visits its whole range.
+  ThreadPool pool(4);
+  constexpr std::size_t n = 5000;
+  const auto caller = [&](std::uint64_t scale, std::atomic<int>& good) {
+    for (int job = 0; job < 100; ++job) {
+      const auto sum = parallel_sum<std::uint64_t>(
+          pool, 0, n, [&](std::size_t i) { return scale * i; },
+          /*grain=*/64);
+      if (sum == scale * n * (n - 1) / 2) good.fetch_add(1);
+    }
+  };
+  std::atomic<int> good_a{0}, good_b{0};
+  std::thread a(caller, 1, std::ref(good_a));
+  std::thread b(caller, 3, std::ref(good_b));
+  a.join();
+  b.join();
+  EXPECT_EQ(good_a.load(), 100);
+  EXPECT_EQ(good_b.load(), 100);
+}
+
+TEST(ThreadPoolDeathTest, NestedCallFromWorkerAborts) {
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.run_on_workers(
+            [&](std::size_t) { pool.run_on_workers([](std::size_t) {}); });
+      },
+      "nested run_on_workers");
 }
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {
